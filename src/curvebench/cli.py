@@ -5,6 +5,7 @@ Every run is a pure function of the master seed and the flags; the
 """
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
@@ -30,7 +31,7 @@ from .generator import (
     makegen,
     unit_grid,
 )
-from .reducers import npr, reduce_dataset
+from .reducers import npr, reduce_dataset, share_classical_mds_lock
 
 DEFAULT_KN = 10
 
@@ -95,6 +96,16 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
         raise ValueError(
             f"embedding has {Y.shape[0]} rows but the instance grid has {npts}"
         )
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("embedding entries must be finite")
+    if dataset is not None:
+        dataset = np.asarray(dataset, dtype=float)
+        if dataset.shape[0] != npts:
+            raise ValueError(
+                f"dataset has {dataset.shape[0]} rows but the instance grid has {npts}"
+            )
+        if not np.all(np.isfinite(dataset)):
+            raise ValueError("dataset entries must be finite")
     start = time.perf_counter()
     result = roundtrip_score(grid, Y, config)
     diag = result.diagnostics
@@ -106,12 +117,6 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
         )
     if dataset is None:
         dataset = makegen(descriptor).evaluate(grid.points()).points
-    else:
-        dataset = np.asarray(dataset, dtype=float)
-        if dataset.shape[0] != npts:
-            raise ValueError(
-                f"dataset has {dataset.shape[0]} rows but the instance grid has {npts}"
-            )
     npr_value = npr(dataset, Y, kn=kn)
     return {
         "instance_id": descriptor.instance_id,
@@ -302,7 +307,12 @@ def cmd_suite(args) -> int:
         for repeat in range(1, args.repeats + 1)
     ]
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # Workers take turns for classical MDS; see share_classical_mds_lock.
+        with ProcessPoolExecutor(
+            max_workers=args.workers,
+            initializer=share_classical_mds_lock,
+            initargs=(multiprocessing.Lock(),),
+        ) as pool:
             reports = list(pool.map(_run_suite_job, jobs, chunksize=4))
     else:
         reports = [_run_suite_job(job) for job in jobs]

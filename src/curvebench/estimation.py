@@ -33,6 +33,7 @@ from .geometry import (
     riemann_at,
     sym_indices,
 )
+from .neighbors import nearest_neighbors, squared_distance
 
 
 @dataclass(frozen=True)
@@ -187,27 +188,6 @@ def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
     return out
 
 
-def _nearest_neighbor_indices(points, k, chunk=512):
-    """Exact K nearest rows for every row (self excluded).
-
-    Brute-force over the grid with a stable sort, so exact ties resolve to
-    the lowest row index.
-    """
-    pts = np.asarray(points, dtype=float)
-    npts = pts.shape[0]
-    if k >= npts:
-        raise ValueError(f"k={k} requires at least k+1 points, got {npts}")
-    out = np.empty((npts, k), dtype=np.intp)
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
-        d2 = ((pts[start:stop, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        order = np.argsort(d2, axis=1, kind="stable")
-        for local, row in enumerate(range(start, stop)):
-            cand = order[local]
-            out[row] = cand[cand != row][:k]
-    return out
-
-
 def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     """KNN least-squares metric at every grid node.
 
@@ -225,7 +205,7 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     if k_neighbors <= n:
         raise ValueError(f"k_neighbors must exceed n={n}")
 
-    nn = _nearest_neighbor_indices(pts, k_neighbors)
+    nn = nearest_neighbors(pts, k_neighbors, key=squared_distance)
     mats = np.empty((pts.shape[0], n, n))
     failed = []
     for row in range(pts.shape[0]):

@@ -18,10 +18,12 @@ The component formula implemented by :func:`riemann_at` is
 which is antisymmetric in (i, j).  With this ordering the plane spanned
 by coordinate directions i < j has sectional curvature
 
-    K_ij = sum_l R^l_jij... (see sectional_at)
+    K_ij = -sum_l R^l_ijj g_li / (g_ii g_jj - g_ij^2)
 
-normalized so that the round sphere comes out positive: the metric
-diag(1, sin^2 x1) yields K_12 = +1 and diag(1, exp(2 x1)) yields -1.
+with the square root of the denominator in ``paper_sqrt`` mode (see
+:func:`sectional_at`).  The sign makes the round sphere positive: the
+metric diag(1, sin^2 x1) yields K_12 = +1 and diag(1, exp(2 x1)) yields
+-1.
 """
 
 from dataclasses import dataclass, field

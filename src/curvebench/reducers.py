@@ -7,6 +7,7 @@ and ``{k}`` substituted, and the embedding is read back from ``{output}``
 (header ``y1,...,yk``, one row per input row, 17 significant digits).
 """
 
+import contextlib
 import shlex
 import subprocess
 import tempfile
@@ -24,6 +25,7 @@ from .errors import (
     ReducerTimeoutError,
 )
 from . import fileio
+from .neighbors import nearest_neighbors, pdist_squared_distance
 
 BUILTIN_METHODS = ("pca", "tsvd", "mds")
 
@@ -95,13 +97,31 @@ def truncated_svd_project(X, k: int) -> EmbeddingResult:
     )
 
 
+# Classical MDS runs two N^3 matrix products and a dense eigendecomposition
+# on every BLAS thread.  Two processes doing that at once on the same cores
+# thrash: on 2 cores at N=1024 it took 0.5-1.0 s alone and 2.6-5.1 s when
+# two suite workers overlapped.  Suite pool workers therefore share one lock
+# for it; elsewhere this is a no-op.
+_classical_mds_lock = contextlib.nullcontext()
+
+
+def share_classical_mds_lock(lock) -> None:
+    """Make this process hold ``lock`` around every classical MDS.
+
+    Used as the suite pool's worker initializer.
+    """
+    global _classical_mds_lock
+    _classical_mds_lock = lock
+
+
 def classical_mds(D, k: int) -> np.ndarray:
     """Classical (Torgerson) MDS of a distance matrix: top-k eigenpairs of
     the double-centered squared distances."""
     npts = D.shape[0]
-    J = np.eye(npts) - np.ones((npts, npts)) / npts
-    B = -0.5 * J @ (D**2) @ J
-    w, v = np.linalg.eigh(B)
+    with _classical_mds_lock:
+        J = np.eye(npts) - np.ones((npts, npts)) / npts
+        B = -0.5 * J @ (D**2) @ J
+        w, v = np.linalg.eigh(B)
     order = np.argsort(w)[::-1][:k]
     w = np.maximum(w[order], 0.0)
     return v[:, order] * np.sqrt(w)
@@ -158,16 +178,6 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
     )
 
 
-def _neighbor_sets(X, kn):
-    d2 = squareform(pdist(X)) ** 2
-    order = np.argsort(d2, axis=1, kind="stable")
-    sets = []
-    for row in range(X.shape[0]):
-        cand = order[row]
-        sets.append(set(cand[cand != row][:kn].tolist()))
-    return sets
-
-
 def npr(x_high, y_low, kn: int = 10) -> float:
     """Neighborhood preservation ratio in [0, 1].
 
@@ -182,10 +192,16 @@ def npr(x_high, y_low, kn: int = 10) -> float:
     npts = x_high.shape[0]
     if not (1 <= kn <= npts - 1):
         raise ValueError(f"kn must be in [1, {npts - 1}], got {kn}")
-    high = _neighbor_sets(x_high, kn)
-    low = _neighbor_sets(y_low, kn)
-    overlap = [len(h & l) / kn for h, l in zip(high, low)]
-    return float(np.mean(overlap))
+    if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(y_low))):
+        raise ValueError("NPR inputs must be finite")
+    high, low = (
+        nearest_neighbors(pts, kn, key=pdist_squared_distance) for pts in (x_high, y_low)
+    )
+    # A row of either table holds distinct indices, so after merging and
+    # sorting, every shared neighbor is one pair of equal adjacent entries.
+    merged = np.sort(np.concatenate([high, low], axis=1), axis=1)
+    overlap = np.count_nonzero(merged[:, 1:] == merged[:, :-1], axis=1)
+    return float(np.mean(overlap / kn))
 
 
 REQUIRED_PLACEHOLDERS = ("{input}", "{output}", "{k}")
@@ -204,14 +220,19 @@ def run_external_reducer(
     ``command`` is a template containing ``{input}``, ``{output}`` and
     ``{k}`` (and optionally ``{seed}``).  Protocol violations raise
     distinct error types: nonzero exit, timeout, malformed or missing
-    output, and row-count mismatch.
+    output, and row-count mismatch.  Without ``workdir`` the protocol files
+    live in a temporary directory that is removed when the call returns or
+    raises.
     """
     X = np.asarray(X, dtype=float)
     for placeholder in REQUIRED_PLACEHOLDERS:
         if placeholder not in command:
             raise ValueError(f"command template must contain {placeholder}")
     if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="curvebench-reducer-")
+        with tempfile.TemporaryDirectory(prefix="curvebench-reducer-") as tmp:
+            return run_external_reducer(
+                command, X, k, timeout=timeout, workdir=tmp, seed=seed
+            )
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     input_path = workdir / "input.csv"

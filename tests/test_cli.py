@@ -8,9 +8,11 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from curvebench import fileio
-from curvebench.cli import main
+from curvebench.cli import main, score_embedding
+from curvebench.estimation import EstimationConfig
 
 FLAT_ID = "flat1.2-flat1.2-e0-r16-n2m7"
 
@@ -139,6 +141,20 @@ class TestReduceAndScore:
         fileio.write_point_cloud_csv(emb, np.zeros((10, 2)), prefix="y")
         assert run(["score", "--instance", inst, "--embedding", emb]) == 1
         assert "rows" in capsys.readouterr().err
+
+    def test_non_finite_embedding_or_dataset_rejected(self, tmp_path):
+        inst, csv = generate_flat(tmp_path)
+        descriptor = fileio.read_instance_json(inst)
+        X = fileio.read_point_cloud_csv(csv, prefix="x")
+        config = EstimationConfig()
+        bad_y = X[:, :2].copy()
+        bad_y[5, 0] = np.nan
+        with pytest.raises(ValueError, match="embedding entries must be finite"):
+            score_embedding(descriptor, bad_y, config)
+        bad_x = X.copy()
+        bad_x[5, 3] = np.inf
+        with pytest.raises(ValueError, match="dataset entries must be finite"):
+            score_embedding(descriptor, X[:, :2], config, dataset=bad_x)
 
     def test_estimator_and_mode_flags(self, tmp_path):
         inst, csv = generate_flat(tmp_path)

@@ -2,12 +2,14 @@
 
 import stat
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
+from curvebench import reducers
 from curvebench.errors import (
     ReducerExitError,
     ReducerOutputError,
@@ -21,6 +23,7 @@ from curvebench.reducers import (
     pca_project,
     reduce_dataset,
     run_external_reducer,
+    share_classical_mds_lock,
     smacof,
     truncated_svd_project,
 )
@@ -113,6 +116,32 @@ class TestMds:
         with pytest.raises(ValueError, match="finite"):
             mds_project(X, 2)
 
+    def test_classical_mds_holds_shared_lock(self, monkeypatch):
+        class RecordingLock:
+            def __init__(self):
+                self.entered = 0
+                self.held = False
+
+            def __enter__(self):
+                assert not self.held
+                self.entered += 1
+                self.held = True
+
+            def __exit__(self, *exc):
+                self.held = False
+
+        X7, _ = planar_cloud()
+        D = squareform(pdist(X7))
+        unlocked = classical_mds(D, 2)
+        # restored after the test, so other tests run without the lock
+        monkeypatch.setattr(reducers, "_classical_mds_lock", reducers._classical_mds_lock)
+        lock = RecordingLock()
+        share_classical_mds_lock(lock)
+        assert np.array_equal(classical_mds(D, 2), unlocked)
+        assert lock.entered == 1 and not lock.held
+        mds_project(X7, 2)
+        assert lock.entered == 2 and not lock.held
+
 
 class TestNpr:
     def test_identity_is_exact_one(self):
@@ -146,6 +175,14 @@ class TestNpr:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="differ"):
             npr(np.eye(4), np.eye(3), kn=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_input_rejected(self, bad, side):
+        pair = [np.random.default_rng(12).normal(size=(8, 3)) for _ in range(2)]
+        pair[side][2, 1] = bad
+        with pytest.raises(ValueError, match="NPR inputs must be finite"):
+            npr(*pair, kn=3)
 
 
 def write_stub(tmp_path, name, body):
@@ -229,6 +266,17 @@ class TestExternalReducer:
                 self.command(stub), np.zeros((3, 2)), 2,
                 timeout=30, workdir=tmp_path / "run",
             )
+
+    def test_no_temp_dir_left_behind(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        copy = write_stub(tmp_path, "copy.py", COPY_STUB)
+        run_external_reducer(self.command(copy), np.eye(3), 3, timeout=30)
+        fail = write_stub(tmp_path, "fail.py", FAIL_STUB)
+        with pytest.raises(ReducerExitError):
+            run_external_reducer(self.command(fail), np.zeros((3, 2)), 2, timeout=30)
+        assert not list(scratch.glob("curvebench-reducer-*"))
 
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError, match="template"):
