@@ -6,144 +6,29 @@ are then scored by how much sectional curvature their round trip
 introduces, with the neighborhood preservation ratio as a baseline.
 """
 
-from .curves import (
-    FAMILIES,
-    CurvatureSpec,
-    PlaneCurve,
-    curvature_value,
-    reconstruct_curve,
-    turning_angle,
-)
-from .errors import (
-    CurvebenchError,
-    DegenerateMetricError,
-    DegeneratePlaneError,
-    ExternalReducerError,
-    MetricEstimationError,
-    ReducerExitError,
-    ReducerOutputError,
-    ReducerRowCountError,
-    ReducerTimeoutError,
-    ScoringError,
-    TuningError,
-)
-from .estimation import (
-    EstimationConfig,
-    RoundTripScore,
-    SplineField,
-    curvature_from_metric_field,
-    estimate_curvature,
-    estimate_curvature_via_function,
-    estimate_curvature_via_metric,
-    estimate_metric_knn,
-    fit_spline,
-    knn_metric_at,
-    rescale_to_unit_box,
-    roundtrip_score,
-)
-from .generator import (
-    ImmersionMap,
-    InstanceDescriptor,
-    PointCloud,
-    derive_seed,
-    enumerate_suite,
-    evaluate_immersion,
-    instance_id_for,
-    make_descriptor,
-    make_grid,
-    makegen,
-    sample_special_orthogonal,
-)
-from .geometry import (
-    ChristoffelField,
-    MetricField,
-    RiemannField,
-    SectionalCurvatureField,
-    TensorGrid,
-    christoffel_at,
-    christoffel_derivatives,
-    l2_curvature_score,
-    pair_indices,
-    pullback_from_jacobian,
-    riemann_at,
-    sectional_at,
-    unit_grid,
-)
-from .reducers import (
-    EmbeddingResult,
-    classical_mds,
-    mds_project,
-    npr,
-    pca_project,
-    reduce_dataset,
-    run_external_reducer,
-    smacof,
-    truncated_svd_project,
-)
+from .curves import FAMILIES, CurvatureSpec, curvature_value, reconstruct_curve
+from .errors import CurvebenchError
+from .estimation import EstimationConfig, roundtrip_score
+from .generator import enumerate_suite, evaluate_immersion, make_descriptor, make_grid, makegen
+from .geometry import unit_grid
+from .reducers import pca_project, reduce_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurvatureSpec",
-    "PlaneCurve",
     "FAMILIES",
     "curvature_value",
-    "turning_angle",
     "reconstruct_curve",
-    "InstanceDescriptor",
-    "ImmersionMap",
-    "PointCloud",
-    "make_grid",
-    "make_descriptor",
-    "makegen",
-    "evaluate_immersion",
     "enumerate_suite",
-    "sample_special_orthogonal",
-    "instance_id_for",
-    "derive_seed",
-    "TensorGrid",
-    "MetricField",
-    "ChristoffelField",
-    "RiemannField",
-    "SectionalCurvatureField",
-    "unit_grid",
-    "pair_indices",
-    "pullback_from_jacobian",
-    "christoffel_at",
-    "christoffel_derivatives",
-    "riemann_at",
-    "sectional_at",
-    "l2_curvature_score",
-    "SplineField",
+    "evaluate_immersion",
+    "make_descriptor",
+    "make_grid",
+    "makegen",
     "EstimationConfig",
-    "RoundTripScore",
-    "fit_spline",
-    "knn_metric_at",
-    "estimate_metric_knn",
-    "estimate_curvature",
-    "estimate_curvature_via_function",
-    "estimate_curvature_via_metric",
-    "curvature_from_metric_field",
-    "rescale_to_unit_box",
     "roundtrip_score",
-    "EmbeddingResult",
+    "unit_grid",
     "pca_project",
-    "truncated_svd_project",
-    "mds_project",
-    "classical_mds",
-    "smacof",
-    "npr",
-    "run_external_reducer",
     "reduce_dataset",
     "CurvebenchError",
-    "DegenerateMetricError",
-    "DegeneratePlaneError",
-    "MetricEstimationError",
-    "ScoringError",
-    "TuningError",
-    "ExternalReducerError",
-    "ReducerExitError",
-    "ReducerTimeoutError",
-    "ReducerOutputError",
-    "ReducerRowCountError",
 ]

@@ -10,7 +10,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,13 +124,7 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
         "curvature_score_raw": result.score_raw,
         "npr": npr_value,
         "degenerate_nodes": sorted(suspect),
-        "estimator": {
-            "method": config.method,
-            "k_neighbors": config.k_neighbors,
-            "trim": config.trim,
-            "mode": config.mode,
-            "rescale_output": config.rescale_output,
-        },
+        "estimator": asdict(config),
         "kn": kn,
         "wall_time_score": time.perf_counter() - start,
         "seeds": {"instance": descriptor.seed},
@@ -269,6 +263,9 @@ def _summary_line(report) -> str:
 
 
 def cmd_suite(args) -> int:
+    if args.limit < 0 or args.repeats < 1:
+        print("suite: need --limit >= 0 and --repeats >= 1", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
@@ -337,13 +334,7 @@ def cmd_suite(args) -> int:
             "eta": args.eta,
             "theta_easy": args.theta_easy,
             "theta_hard": args.theta_hard,
-            "estimator": {
-                "method": config.method,
-                "k_neighbors": config.k_neighbors,
-                "trim": config.trim,
-                "mode": config.mode,
-                "rescale_output": config.rescale_output,
-            },
+            "estimator": asdict(config),
             "kn": args.kn,
             "instances": [d.instance_id for d in descriptors],
             "tuned": tuned,
@@ -412,6 +403,8 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if objective not in ("curvature", "npr"):
+        raise ValueError(f"objective must be 'curvature' or 'npr', got {objective!r}")
     rng = np.random.default_rng(seed)
     imap = makegen(descriptor)
     grid = unit_grid(descriptor.n, descriptor.grid_resolution)
@@ -546,7 +539,10 @@ def _box_svg(summary_rows) -> str:
 
 def cmd_plot(args) -> int:
     path = Path(args.input)
-    first = path.read_text().splitlines()[0].strip()
+    text = path.read_text()
+    if not text.strip():
+        raise ValueError(f"{path}: empty CSV")
+    first = text.splitlines()[0].strip()
     header = [c.strip() for c in first.split(",")]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -560,7 +556,7 @@ def cmd_plot(args) -> int:
         out.write_text(_scatter_svg(pts))
     elif header[:4] == ["instance_id", "method", "repeat", "score"]:
         rows = []
-        for line in path.read_text().splitlines()[1:]:
+        for line in text.splitlines()[1:]:
             if not line.strip():
                 continue
             cells = line.split(",")

@@ -121,7 +121,6 @@ class PlaneCurve:
     s_values: np.ndarray
     points: np.ndarray
     spec: CurvatureSpec
-    base_points: tuple = (0.0, 0.0, 0.0)
     _fine_s: np.ndarray = field(default=None, repr=False)
     _fine_alpha: np.ndarray = field(default=None, repr=False)
     _fine_points: np.ndarray = field(default=None, repr=False)

@@ -23,10 +23,6 @@ class DegeneratePlaneError(CurvebenchError):
 class MetricEstimationError(CurvebenchError):
     """Least-squares metric fit failed (e.g. neighbors do not span)."""
 
-    def __init__(self, message, point_index=None):
-        super().__init__(message)
-        self.point_index = point_index
-
 
 class ScoringError(CurvebenchError):
     """Embedding is too degenerate to score."""

@@ -15,6 +15,7 @@ Two routes, selected by :class:`EstimationConfig.method`:
 """
 
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 from scipy.interpolate import NdBSpline, make_interp_spline
@@ -32,6 +33,7 @@ from .geometry import (
     regularization_for,
     riemann_at,
     sym_indices,
+    unpack_symmetric,
 )
 from .neighbors import nearest_neighbors, squared_distance
 
@@ -98,6 +100,24 @@ def fit_spline(grid, samples) -> SplineField:
         knots.append(spl.t)
         coeffs = np.moveaxis(spl.c, 0, ax)
     return SplineField(grid=grid, knots=tuple(knots), coefficients=coeffs)
+
+
+def _spline_derivatives(spline: SplineField, pts, order: int) -> np.ndarray:
+    """All partial derivatives of total ``order`` of ``spline`` at ``pts``.
+
+    Returns the symmetric (Q, c, n, ..., n) tensor with ``order`` trailing
+    axes; one spline call per sorted index tuple fills every permutation.
+    """
+    n = spline.grid.n
+    out = np.empty((pts.shape[0], spline.ncomp) + (n,) * order)
+    for axes in combinations_with_replacement(range(n), order):
+        nu = [0] * n
+        for axis in axes:
+            nu[axis] += 1
+        vals = spline(pts, nu=nu)
+        for perm in set(permutations(axes)):
+            out[(slice(None), slice(None)) + perm] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,7 +249,7 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     return MetricField.from_matrices(grid, mats), diagnostics
 
 
-def _sectional_from_metric_data(grid, g, dg, d2g, mode, extra_diagnostics=None):
+def _sectional_from_metric_data(grid, g, dg, d2g, mode):
     """Shared tail of both estimators: metric data -> sectional field."""
     lam = regularization_for(g)
     degenerate = [int(i) for i in np.nonzero(lam > 0)[0]]
@@ -242,19 +262,21 @@ def _sectional_from_metric_data(grid, g, dg, d2g, mode, extra_diagnostics=None):
         "floored_plane_nodes": [int(i) for i in np.nonzero(floored)[0]],
         "regularization": float(lam.max()) if degenerate else 0.0,
     }
-    if extra_diagnostics:
-        diagnostics.update(extra_diagnostics)
     return SectionalCurvatureField(grid=grid, values=values, mode=mode, diagnostics=diagnostics)
 
 
-def _derivative_orders(n, total):
-    """All per-axis order tuples with the given total order."""
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        out.extend((first, *rest) for rest in _derivative_orders(n - 1, total - first))
-    return out
+def _prepare_samples(grid, f_samples, config: EstimationConfig, method: str):
+    """Check the method; return the grid and the (N, c), optionally rescaled, samples."""
+    if config.method != method:
+        raise ValueError(f"config.method must be {method!r}")
+    if not isinstance(grid, TensorGrid):
+        grid = TensorGrid(tuple(grid))
+    f_samples = np.asarray(f_samples, dtype=float)
+    if f_samples.ndim == 1:
+        f_samples = f_samples[:, None]
+    if config.rescale_output:
+        f_samples = rescale_to_unit_box(f_samples)
+    return grid, f_samples
 
 
 def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
@@ -264,47 +286,12 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
     from spline derivatives of f (orders 1..3) by the product rule, then
     fed through the Christoffel/Riemann/sectional chain at every node.
     """
-    if config.method != "function_spline":
-        raise ValueError("config.method must be 'function_spline'")
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
-    f_samples = np.asarray(f_samples, dtype=float)
-    if f_samples.ndim == 1:
-        f_samples = f_samples[:, None]
-    if config.rescale_output:
-        f_samples = rescale_to_unit_box(f_samples)
+    grid, f_samples = _prepare_samples(grid, f_samples, config, "function_spline")
     spline = fit_spline(grid, f_samples)
     pts = grid.points()
-    n = grid.n
 
     # derivative tensors of f: d1[q, c, i], d2[q, c, i, j], d3[q, c, i, j, l]
-    npts, ncomp = pts.shape[0], spline.ncomp
-    d1 = np.empty((npts, ncomp, n))
-    d2 = np.empty((npts, ncomp, n, n))
-    d3 = np.empty((npts, ncomp, n, n, n))
-    for i in range(n):
-        nu = [0] * n
-        nu[i] = 1
-        d1[:, :, i] = spline(pts, nu=nu)
-    for i in range(n):
-        for j in range(i, n):
-            nu = [0] * n
-            nu[i] += 1
-            nu[j] += 1
-            vals = spline(pts, nu=nu)
-            d2[:, :, i, j] = vals
-            d2[:, :, j, i] = vals
-    for i in range(n):
-        for j in range(i, n):
-            for l in range(j, n):
-                nu = [0] * n
-                nu[i] += 1
-                nu[j] += 1
-                nu[l] += 1
-                vals = spline(pts, nu=nu)
-                for perm in {(i, j, l), (i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)}:
-                    d3[:, :, perm[0], perm[1], perm[2]] = vals
-
+    d1, d2, d3 = (_spline_derivatives(spline, pts, order) for order in (1, 2, 3))
     g = np.einsum("qci,qcj->qij", d1, d1)
     dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
     d2g = (
@@ -323,48 +310,18 @@ def curvature_from_metric_field(metric: MetricField, config: EstimationConfig):
     metric and its first two derivatives are then read off the splines.
     """
     grid = metric.grid
-    n = grid.n
     spline = fit_spline(grid, metric.packed)
     pts = grid.points()
-    npts = pts.shape[0]
-    ncomp = spline.ncomp
-    vals0 = spline(pts)
-    vals1 = np.empty((npts, ncomp, n))
-    vals2 = np.empty((npts, ncomp, n, n))
-    for i in range(n):
-        nu = [0] * n
-        nu[i] = 1
-        vals1[:, :, i] = spline(pts, nu=nu)
-    for i in range(n):
-        for j in range(i, n):
-            nu = [0] * n
-            nu[i] += 1
-            nu[j] += 1
-            v = spline(pts, nu=nu)
-            vals2[:, :, i, j] = v
-            vals2[:, :, j, i] = v
-
-    g = np.empty((npts, n, n))
-    dg = np.empty((npts, n, n, n))
-    d2g = np.empty((npts, n, n, n, n))
-    for col, (a, b) in enumerate(sym_indices(n)):
-        g[:, a, b] = g[:, b, a] = vals0[:, col]
-        dg[:, a, b, :] = dg[:, b, a, :] = vals1[:, col]
-        d2g[:, a, b, :, :] = d2g[:, b, a, :, :] = vals2[:, col]
+    g, dg, d2g = (
+        unpack_symmetric(_spline_derivatives(spline, pts, order), grid.n)
+        for order in (0, 1, 2)
+    )
     return _sectional_from_metric_data(grid, g, dg, d2g, config.mode)
 
 
 def estimate_curvature_via_metric(grid, f_samples, config: EstimationConfig):
     """Sectional curvature via KNN metric estimation plus metric splines."""
-    if config.method != "metric_knn":
-        raise ValueError("config.method must be 'metric_knn'")
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
-    f_samples = np.asarray(f_samples, dtype=float)
-    if f_samples.ndim == 1:
-        f_samples = f_samples[:, None]
-    if config.rescale_output:
-        f_samples = rescale_to_unit_box(f_samples)
+    grid, f_samples = _prepare_samples(grid, f_samples, config, "metric_knn")
     metric, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
     fld = curvature_from_metric_field(metric, config)
     diagnostics = dict(fld.diagnostics)

@@ -6,6 +6,7 @@ writes of the same data are byte-identical.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +57,7 @@ def read_point_cloud_csv(path, prefix=None) -> np.ndarray:
 
 
 def write_instance_json(path, descriptor: InstanceDescriptor) -> None:
-    obj = {
-        "n": descriptor.n,
-        "m": descriptor.m,
-        "families": list(descriptor.families),
-        "thetas": list(descriptor.thetas),
-        "eta": descriptor.eta,
-        "seed": descriptor.seed,
-        "grid_resolution": descriptor.grid_resolution,
-        "instance_id": descriptor.instance_id,
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(descriptor), indent=2) + "\n")
 
 
 def read_instance_json(path) -> InstanceDescriptor:

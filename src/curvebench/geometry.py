@@ -52,6 +52,18 @@ def sym_indices(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def unpack_symmetric(packed, n: int) -> np.ndarray:
+    """Symmetric tensors from upper triangles packed along axis 1.
+
+    ``packed`` has shape (Q, n(n+1)/2, ...) in :func:`sym_indices` order;
+    the result has shape (Q, n, n, ...), trailing axes kept.
+    """
+    col = np.empty((n, n), dtype=int)
+    for idx, (i, j) in enumerate(sym_indices(n)):
+        col[i, j] = col[j, i] = idx
+    return np.take(np.asarray(packed, dtype=float), col, axis=1)
+
+
 def pullback_from_jacobian(J):
     """Pullback of the Euclidean metric under a map with Jacobian ``J``.
 
@@ -167,34 +179,27 @@ def sectional_at(g, riem, mode: str = "standard"):
     ``standard`` mode and sqrt(D) in ``paper_sqrt`` mode.  Both modes share
     the same zero set and agree whenever the metric is the identity at the
     evaluation point.  The sign is normalized so spheres are positive.
+    Raises DegeneratePlaneError if any plane has D <= PLANE_FLOOR.
+    """
+    out, floored = _sectional_floored(g, riem, mode)
+    if np.any(floored):
+        raise DegeneratePlaneError(
+            f"{int(np.count_nonzero(floored))} node(s) have a coordinate plane "
+            "with non-positive squared area"
+        )
+    return out
+
+
+def _sectional_floored(g, riem, mode):
+    """Sectional curvatures with degenerate denominators floored.
+
+    Returns (values, mask of nodes whose denominator was floored).  The
+    field pipelines record such nodes instead of raising.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g = np.asarray(g, dtype=float)
     riem = np.asarray(riem, dtype=float)
-    n = g.shape[-1]
-    pairs = pair_indices(n)
-    out = np.empty(g.shape[:-2] + (len(pairs),))
-    for idx, (i, j) in enumerate(pairs):
-        num = -np.einsum("...l,...l->...", riem[..., :, i, j, j], g[..., :, i])
-        den = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
-        if np.any(den <= PLANE_FLOOR):
-            raise DegeneratePlaneError(
-                f"coordinate plane ({i},{j}) has non-positive squared area"
-            )
-        if mode == "paper_sqrt":
-            den = np.sqrt(den)
-        out[..., idx] = num / den
-    return out
-
-
-def _sectional_floored(g, riem, mode):
-    """Like sectional_at but floors degenerate denominators.
-
-    Returns (values, mask of nodes whose denominator was floored).  Used by
-    the field pipelines, which record degeneracies instead of raising.
-    """
-    g = np.asarray(g, dtype=float)
     n = g.shape[-1]
     pairs = pair_indices(n)
     out = np.empty(g.shape[:-2] + (len(pairs),))
@@ -258,7 +263,6 @@ class MetricField:
 
     grid: TensorGrid
     packed: np.ndarray  # (N, n(n+1)/2) upper-triangle components
-    regularization: float = 0.0
 
     def __post_init__(self):
         packed = np.asarray(self.packed, dtype=float)
@@ -274,39 +278,18 @@ class MetricField:
         return self.grid.n
 
     def matrices(self) -> np.ndarray:
-        """Full symmetric (N, n, n) view of the stored upper triangles."""
-        n = self.n
-        out = np.empty((self.packed.shape[0], n, n))
-        for idx, (i, j) in enumerate(sym_indices(n)):
-            out[:, i, j] = self.packed[:, idx]
-            out[:, j, i] = self.packed[:, idx]
-        return out
+        """Full symmetric (N, n, n) copy of the stored upper triangles."""
+        return unpack_symmetric(self.packed, self.n)
 
     @classmethod
-    def from_matrices(cls, grid: TensorGrid, mats, regularization: float = 0.0):
+    def from_matrices(cls, grid: TensorGrid, mats):
         mats = np.asarray(mats, dtype=float)
         n = grid.n
         if mats.shape != (grid.num_points, n, n):
             raise ValueError("metric array must have shape (N, n, n)")
         sym = 0.5 * (mats + mats.swapaxes(-1, -2))
         packed = np.stack([sym[:, i, j] for (i, j) in sym_indices(n)], axis=1)
-        return cls(grid=grid, packed=packed, regularization=regularization)
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    """Christoffel symbols Gamma^k_ij at every grid node, (N, n, n, n)."""
-
-    grid: TensorGrid
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiemannField:
-    """Riemann components R^l_ijk at every grid node, (N, n, n, n, n)."""
-
-    grid: TensorGrid
-    values: np.ndarray
+        return cls(grid=grid, packed=packed)
 
 
 @dataclass(frozen=True)

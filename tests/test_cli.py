@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from curvebench import fileio
-from curvebench.cli import main, score_embedding
+from curvebench.cli import main, score_embedding, tune_hyperparameters
 from curvebench.estimation import EstimationConfig
 
 FLAT_ID = "flat1.2-flat1.2-e0-r16-n2m7"
@@ -224,6 +224,16 @@ class TestSuite:
             "--resolution", "16", "--out-dir", tmp_path / "allfail",
         ]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--limit", "-59"), ("--repeats", "0")])
+    def test_out_of_range_counts_rejected_before_any_work(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "bad"
+        assert run([
+            "suite", "--methods", "pca", "--resolution", "16", flag, value,
+            "--out-dir", out_dir,
+        ]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_parallel_workers_match_serial(self, tmp_path):
         argv = [
             "suite", "--methods", "pca", "--repeats", "1", "--limit", "2",
@@ -304,6 +314,13 @@ class TestTune:
         assert result["objective_name"] == "npr"
         assert -1.0 <= result["objective"] <= 0.0  # negated NPR
 
+    def test_unknown_objective_rejected(self, tmp_path):
+        inst, _ = generate_flat(tmp_path)
+        descriptor = fileio.read_instance_json(inst)
+        with pytest.raises(ValueError, match="objective"):
+            tune_hyperparameters("pca", {}, 1, descriptor, EstimationConfig(),
+                                 objective="curvatur")
+
 
 class TestPlot:
     def test_embedding_scatter_is_deterministic(self, tmp_path):
@@ -329,6 +346,12 @@ class TestPlot:
         out = tmp_path / "boxes.svg"
         assert run(["plot", "--input", summary, "--out", out]) == 0
         assert out.read_text().count('class="box"') == 2
+
+    def test_empty_csv_is_reported(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run(["plot", "--input", empty, "--out", tmp_path / "x.svg"]) == 1
+        assert "empty CSV" in capsys.readouterr().err
 
     def test_high_dimensional_embedding_rejected(self, tmp_path, capsys):
         emb = tmp_path / "wide.csv"

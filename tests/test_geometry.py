@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvebench.errors import DegenerateMetricError, DegeneratePlaneError
 from curvebench.geometry import (
+    MODES,
     MetricField,
     SectionalCurvatureField,
     TensorGrid,
@@ -16,6 +20,7 @@ from curvebench.geometry import (
     pullback_from_jacobian,
     regularization_for,
     riemann_at,
+    _sectional_floored,
     sectional_at,
     unit_grid,
 )
@@ -218,6 +223,31 @@ class TestSectional:
             sectional_at(np.eye(2), np.zeros((2, 2, 2, 2)), mode="fancy")
 
 
+@st.composite
+def metric_and_riemann(draw):
+    """Batches of Gram metrics A A^T (singular when A loses rank) with random R."""
+    n = draw(st.integers(2, 3))
+    batch = draw(st.integers(1, 4))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(float, (batch, n, n), elements=entries))
+    riem = draw(arrays(float, (batch,) + (n,) * 4, elements=entries))
+    return np.einsum("bik,bjk->bij", a, a), riem, draw(st.sampled_from(MODES))
+
+
+class TestSectionalMatchesFlooredLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(metric_and_riemann())
+    def test_same_bits_or_raises_exactly_when_floored(self, case):
+        g, riem, mode = case
+        floored_values, floored = _sectional_floored(g, riem, mode)
+        if floored.any():
+            with pytest.raises(DegeneratePlaneError):
+                sectional_at(g, riem, mode=mode)
+        else:
+            got = sectional_at(g, riem, mode=mode)
+            assert got.tobytes() == floored_values.tobytes()
+
+
 class TestSameDimensionFlatness:
     def test_parabolic_shear_is_flat(self):
         # f(x) = (x1, x2 + x1^2) is a same-dimension immersion; the pullback
@@ -311,8 +341,6 @@ class TestL2Score:
 
 class TestFieldTypes:
     def test_connection_and_curvature_fields_over_a_grid(self):
-        from curvebench.geometry import ChristoffelField, RiemannField
-
         grid = unit_grid(2, 8)
         pts = grid.points()
         g = np.zeros((grid.num_points, 2, 2))
@@ -323,11 +351,10 @@ class TestFieldTypes:
         d2g = np.zeros((grid.num_points, 2, 2, 2, 2))
         d2g[:, 1, 1, 0, 0] = 4 * np.exp(2 * pts[:, 0])
         gamma = christoffel_at(g, dg)
-        cf = ChristoffelField(grid=grid, values=gamma)
-        rf = RiemannField(grid=grid, values=riemann_at(gamma, christoffel_derivatives(g, dg, d2g)))
-        assert cf.values.shape == (grid.num_points, 2, 2, 2)
-        assert rf.values.shape == (grid.num_points, 2, 2, 2, 2)
-        k = sectional_at(g, rf.values)
+        riem = riemann_at(gamma, christoffel_derivatives(g, dg, d2g))
+        assert gamma.shape == (grid.num_points, 2, 2, 2)
+        assert riem.shape == (grid.num_points, 2, 2, 2, 2)
+        k = sectional_at(g, riem)
         assert np.allclose(k[:, 0], -1.0, atol=1e-10)
 
     def test_metric_field_stores_upper_triangle(self):
