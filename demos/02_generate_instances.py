@@ -10,29 +10,23 @@ Everything is a pure function of the instance seed.
 
 import numpy as np
 
-from curvebench import (
-    enumerate_suite,
-    evaluate_immersion,
-    make_descriptor,
-    make_grid,
-    makegen,
-)
+from curvebench import enumerate_suite, make_descriptor, makegen, unit_grid
 
 descriptor = make_descriptor(("circle", "sine"), (1.2, 1.8), eta=0.01, seed=42)
 print("instance:", descriptor.instance_id)
 
 imap = makegen(descriptor)
-grid = make_grid(2, 32)
-cloud = evaluate_immersion(imap, grid)
+grid = unit_grid(2, 32).points()
+cloud = imap.evaluate(grid)
 print(f"dataset: {cloud.points.shape[0]} points in R^{cloud.d}")
 
 # The analytic pullback metric has unit diagonal (each axis curve is unit
 # speed) and a nonzero off-diagonal where padded curves overlap.
-g = imap.pullback_metrics(grid.points[:5])
+g = imap.pullback_metrics(grid[:5])
 print("pullback metric at the first grid node:\n", np.round(g[0], 6))
 
 # Re-sampling with the same seed reproduces the map bit-exactly.
-again = evaluate_immersion(makegen(descriptor), grid)
+again = makegen(descriptor).evaluate(grid)
 print("bit-identical regeneration:", np.array_equal(cloud.points, again.points))
 
 # The experiment suite: 15 family multisets x 4 theta pairs = 60 instances.

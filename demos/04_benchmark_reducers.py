@@ -8,14 +8,7 @@ flat instances and fall apart once both axes carry curvature; NPR barely
 separates the two regimes.
 """
 
-from curvebench import (
-    EstimationConfig,
-    evaluate_immersion,
-    make_descriptor,
-    make_grid,
-    makegen,
-    reduce_dataset,
-)
+from curvebench import EstimationConfig, make_descriptor, makegen, reduce_dataset, unit_grid
 from curvebench.cli import score_embedding
 
 INSTANCES = [
@@ -26,12 +19,12 @@ INSTANCES = [
 ]
 
 config = EstimationConfig()
-grid = make_grid(2, 32)
+grid = unit_grid(2, 32).points()
 
 print(f"{'instance':>28} {'method':>6} {'curvature score':>16} {'npr':>6}")
 for families, thetas in INSTANCES:
     descriptor = make_descriptor(families, thetas, eta=0.01, seed=7)
-    dataset = evaluate_immersion(makegen(descriptor), grid).points
+    dataset = makegen(descriptor).evaluate(grid).points
     for method in ("pca", "tsvd", "mds"):
         emb = reduce_dataset(method, dataset, 2, mds_max_iter=150, mds_tol=1e-7)
         report = score_embedding(descriptor, emb.Y, config)

@@ -9,7 +9,7 @@ introduces, with the neighborhood preservation ratio as a baseline.
 from .curves import FAMILIES, CurvatureSpec, curvature_value, reconstruct_curve
 from .errors import CurvebenchError
 from .estimation import EstimationConfig, roundtrip_score
-from .generator import enumerate_suite, evaluate_immersion, make_descriptor, make_grid, makegen
+from .generator import enumerate_suite, make_descriptor, makegen
 from .geometry import unit_grid
 from .reducers import pca_project, reduce_dataset
 
@@ -21,9 +21,7 @@ __all__ = [
     "curvature_value",
     "reconstruct_curve",
     "enumerate_suite",
-    "evaluate_immersion",
     "make_descriptor",
-    "make_grid",
     "makegen",
     "EstimationConfig",
     "roundtrip_score",

@@ -29,8 +29,8 @@ from .generator import (
     enumerate_suite,
     make_descriptor,
     makegen,
-    unit_grid,
 )
+from .geometry import unit_grid
 from .reducers import npr, reduce_dataset, share_classical_mds_lock
 
 DEFAULT_KN = 10
@@ -146,7 +146,7 @@ def cmd_generate(args) -> int:
             base_seed=_master_seed(args),
             grid_resolution=args.resolution,
         )
-    elif args.families:
+    elif args.families and args.thetas:
         families = args.families.split(",")
         thetas = [float(t) for t in args.thetas.split(",")]
         descriptors = [

@@ -95,19 +95,6 @@ def _cumulative_simpson(y, dx):
     return out
 
 
-def turning_angle(spec: CurvatureSpec, s: float, step: float = DEFAULT_STEP) -> float:
-    """Integral of the curvature from 0 to ``s`` (composite Simpson)."""
-    s = float(s)
-    if not np.isfinite(s):
-        raise ValueError("arc length s must be finite")
-    if s == 0.0:
-        return 0.0
-    m = max(2, int(np.ceil(abs(s) / step)))
-    nodes = np.linspace(0.0, s, m + 1)
-    kappa = curvature_value(spec, nodes)
-    return float(_cumulative_simpson(kappa, nodes[1] - nodes[0])[-1])
-
-
 @dataclass(frozen=True)
 class PlaneCurve:
     """Sampled unit-speed plane curve with a fixed curvature profile.
@@ -124,10 +111,6 @@ class PlaneCurve:
     _fine_s: np.ndarray = field(default=None, repr=False)
     _fine_alpha: np.ndarray = field(default=None, repr=False)
     _fine_points: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def step(self) -> float:
-        return float(self._fine_s[1] - self._fine_s[0])
 
     def at(self, s):
         """Curve position(s) at arc length ``s`` (scalar or array)."""

@@ -6,14 +6,7 @@ class CurvebenchError(Exception):
 
 
 class DegenerateMetricError(CurvebenchError):
-    """Metric matrix is singular (or nearly so) and cannot be inverted.
-
-    Carries the grid index of the offending point when known.
-    """
-
-    def __init__(self, message, point_index=None):
-        super().__init__(message)
-        self.point_index = point_index
+    """Metric matrix is singular (or nearly so) and cannot be inverted."""
 
 
 class DegeneratePlaneError(CurvebenchError):

@@ -27,8 +27,7 @@ from .geometry import (
     MetricField,
     SectionalCurvatureField,
     TensorGrid,
-    christoffel_at,
-    christoffel_derivatives,
+    christoffel,
     l2_curvature_score,
     regularization_for,
     riemann_at,
@@ -47,12 +46,11 @@ class SplineField:
     """
 
     grid: TensorGrid
-    knots: tuple
-    coefficients: np.ndarray  # (*basis_shape, c)
+    spline: NdBSpline  # coefficients (*basis_shape, c)
 
     @property
     def ncomp(self) -> int:
-        return self.coefficients.shape[-1]
+        return self.spline.c.shape[-1]
 
     def __call__(self, points, nu=None) -> np.ndarray:
         """Evaluate (or differentiate) all components at ``points`` (Q, n).
@@ -64,42 +62,32 @@ class SplineField:
             nu = tuple(int(d) for d in nu)
             if len(nu) != self.grid.n or any(d < 0 or d > 3 for d in nu):
                 raise ValueError("nu must give one order in 0..3 per axis")
-        spl = NdBSpline(self.knots, self.coefficients, k=3)
-        return spl(points, nu=nu)
+        return self.spline(points, nu=nu)
 
 
-def fit_spline(grid, samples) -> SplineField:
+def fit_spline(grid: TensorGrid, samples) -> SplineField:
     """Interpolating cubic spline (not-a-knot) of row-aligned grid samples.
 
-    ``grid`` is a TensorGrid (or per-axis node list); ``samples`` is (N, c)
-    with rows in the grid's row-major order, or already (*grid.shape, c).
+    ``samples`` is (N, c) with rows in the grid's row-major order.
     """
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if samples.ndim == 2:
-        if samples.shape[0] != grid.num_points:
-            raise ValueError(
-                f"expected {grid.num_points} sample rows aligned with the grid, "
-                f"got {samples.shape[0]}"
-            )
-        samples = samples.reshape(*grid.shape, samples.shape[1])
-    elif samples.shape[:-1] != grid.shape:
-        raise ValueError("samples do not match the tensor grid shape")
+    if samples.ndim != 2 or samples.shape[0] != grid.num_points:
+        raise ValueError(
+            f"expected {grid.num_points} sample rows aligned with the grid, "
+            f"got shape {samples.shape}"
+        )
     if any(size < 4 for size in grid.shape):
         raise ValueError("cubic splines need at least 4 nodes per axis")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
 
-    coeffs = samples
+    coeffs = samples.reshape(*grid.shape, samples.shape[1])
     knots = []
     for ax, nodes in enumerate(grid.axes):
         spl = make_interp_spline(nodes, coeffs, k=3, axis=ax)
         knots.append(spl.t)
         coeffs = np.moveaxis(spl.c, 0, ax)
-    return SplineField(grid=grid, knots=tuple(knots), coefficients=coeffs)
+    return SplineField(grid=grid, spline=NdBSpline(tuple(knots), coeffs, k=3))
 
 
 def _spline_derivatives(spline: SplineField, pts, order: int) -> np.ndarray:
@@ -253,9 +241,7 @@ def _sectional_from_metric_data(grid, g, dg, d2g, mode):
     """Shared tail of both estimators: metric data -> sectional field."""
     lam = regularization_for(g)
     degenerate = [int(i) for i in np.nonzero(lam > 0)[0]]
-    gam = christoffel_at(g, dg, lam)
-    dgam = christoffel_derivatives(g, dg, d2g, lam)
-    riem = riemann_at(gam, dgam)
+    riem = riemann_at(*christoffel(g, dg, d2g, lam))
     values, floored = geometry._sectional_floored(g, riem, mode)
     diagnostics = {
         "degenerate_nodes": degenerate,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DEFAULT_STEP, FAMILIES, CurvatureSpec, PlaneCurve, reconstruct_curve
-from .geometry import pullback_from_jacobian, unit_grid
+from .geometry import pullback_from_jacobian
 
 DEFAULT_N = 2
 DEFAULT_M = 7
@@ -127,13 +127,6 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def make_grid(n: int, resolution: int) -> PointCloud:
-    """Equispaced grid over [0, 1]^n with resolution^n rows in row-major order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return PointCloud(unit_grid(n, resolution).points())
-
-
 def sample_special_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed rotation of SO(m).
 
@@ -178,13 +171,14 @@ class ImmersionMap:
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "curves", tuple(self.curves))
 
-    def evaluate(self, grid) -> PointCloud:
-        return evaluate_immersion(self, grid)
+    def evaluate(self, pts) -> PointCloud:
+        """Apply the immersion to every row of ``pts``, preserving row order."""
+        return PointCloud(self.unrotated(pts) @ self.rotation.T + self.translation)
 
-    def unrotated(self, grid) -> np.ndarray:
+    def unrotated(self, pts) -> np.ndarray:
         """Assembled padded-curve sum before rotation and translation."""
-        pts = grid.points if isinstance(grid, PointCloud) else np.asarray(grid, float)
-        n, m = self.descriptor.n, self.descriptor.m
+        pts = np.asarray(pts, dtype=float)
+        m = self.descriptor.m
         out = np.zeros((pts.shape[0], m))
         for i, curve in enumerate(self.curves):
             try:
@@ -210,10 +204,9 @@ class ImmersionMap:
             J0[i + 1, i] = tan[1]
         return self.rotation @ J0
 
-    def pullback_metrics(self, grid) -> np.ndarray:
-        """Analytic pullback metric (N, n, n) at every row of ``grid``."""
-        pts = grid.points if isinstance(grid, PointCloud) else np.asarray(grid, float)
-        jacs = np.stack([self.jacobian(x) for x in pts])
+    def pullback_metrics(self, pts) -> np.ndarray:
+        """Analytic pullback metric (N, n, n) at every row of ``pts``."""
+        jacs = np.stack([self.jacobian(x) for x in np.asarray(pts, dtype=float)])
         return pullback_from_jacobian(jacs)
 
 
@@ -249,12 +242,6 @@ def makegen(
         translation=sampled_tr if translation is None else np.asarray(translation, dtype=float),
         descriptor=descriptor,
     )
-
-
-def evaluate_immersion(imap: ImmersionMap, grid) -> PointCloud:
-    """Apply the immersion to every row of ``grid``, preserving row order."""
-    base = imap.unrotated(grid)
-    return PointCloud(base @ imap.rotation.T + imap.translation)
 
 
 def enumerate_suite(

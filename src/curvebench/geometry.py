@@ -89,36 +89,6 @@ def regularization_for(g):
     return lam if lam.ndim else float(lam)
 
 
-def _inverse(g, lam):
-    n = g.shape[-1]
-    lam = np.asarray(lam, dtype=float)
-    gr = g + lam[..., None, None] * np.eye(n)
-    try:
-        return np.linalg.inv(gr)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(
-            f"metric not invertible even after regularization lambda={lam}"
-        ) from exc
-
-
-def christoffel_at(g, dg, lam=0.0, point_index=None):
-    """Christoffel symbols of the Levi-Civita connection of ``g``.
-
-    Gamma^k_ij = 1/2 sum_m g^mk (d_j g_mi + d_i g_mj - d_m g_ij), where the
-    inverse is taken of g + lam*Id.  Raises DegenerateMetricError (carrying
-    ``point_index``) if that matrix is singular.
-    """
-    g = np.asarray(g, dtype=float)
-    dg = np.asarray(dg, dtype=float)
-    try:
-        ginv = _inverse(g, np.broadcast_to(np.asarray(lam, float), g.shape[:-2]))
-    except DegenerateMetricError as exc:
-        exc.point_index = point_index
-        raise
-    term = _metric_bracket(dg)
-    return 0.5 * np.einsum("...mk,...mij->...kij", ginv, term)
-
-
 def _metric_bracket(dg):
     # term[m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij, from dg[i, j, k] = d_k g_ij
     nb = dg.ndim - 3
@@ -128,15 +98,28 @@ def _metric_bracket(dg):
     return b + a - c
 
 
-def christoffel_derivatives(g, dg, d2g, lam=0.0):
-    """Closed-form derivatives d Gamma^k_ij / d x_l from g, dg, d2g."""
+def christoffel(g, dg, d2g, lam=0.0):
+    """Christoffel symbols of the Levi-Civita connection of ``g`` and their
+    closed-form derivatives: (gamma, dgamma).
+
+    Gamma^k_ij = 1/2 sum_m g^mk (d_j g_mi + d_i g_mj - d_m g_ij), where the
+    inverse is taken of g + lam*Id, and d_l Gamma^k_ij follows from dg and
+    d2g.  Raises DegenerateMetricError if that matrix is singular.
+    """
     g = np.asarray(g, dtype=float)
     dg = np.asarray(dg, dtype=float)
     d2g = np.asarray(d2g, dtype=float)
-    ginv = _inverse(g, np.broadcast_to(np.asarray(lam, float), g.shape[:-2]))
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), g.shape[:-2])
+    try:
+        ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(g.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(
+            f"metric not invertible even after regularization lambda={lam}"
+        ) from exc
+    term = _metric_bracket(dg)
+    gamma = 0.5 * np.einsum("...mk,...mij->...kij", ginv, term)
     # d_l g^mk = -g^ma (d_l g_ab) g^bk
     dginv = -np.einsum("...ma,...abl,...bk->...mkl", ginv, dg, ginv)
-    term = _metric_bracket(dg)
     # dterm[m,i,j,l] = d_l (d_j g_mi + d_i g_mj - d_m g_ij), from
     # d2g[i,j,k,l] = d_k d_l g_ij:
     nb = d2g.ndim - 4
@@ -144,11 +127,11 @@ def christoffel_derivatives(g, dg, d2g, lam=0.0):
     t_ij = d2g.swapaxes(-3, -2)                           # [m,i,j,l] = d2g[m,j,i,l]
     t_m = d2g.transpose(*range(nb), nb + 2, nb, nb + 1, nb + 3)  # = d2g[i,j,m,l]
     dterm = t_ji + t_ij - t_m
-    out = 0.5 * (
+    dgamma = 0.5 * (
         np.einsum("...mkl,...mij->...kijl", dginv, term)
         + np.einsum("...mk,...mijl->...kijl", ginv, dterm)
     )
-    return out
+    return gamma, dgamma
 
 
 def riemann_at(gamma, dgamma):

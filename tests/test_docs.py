@@ -1,8 +1,13 @@
-"""The README library example runs and the package exports what demos import."""
+"""The README library example and demos run, and the exports match the docs."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import curvebench
 
@@ -13,6 +18,12 @@ def test_readme_library_example_runs():
     library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_lists_exactly_the_exports():
+    library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
+    sentence = re.search(r"The package root exports (.*?)\.\s", library, re.S).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == curvebench.__all__
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +37,15 @@ def test_demo_imports_are_exported():
             if isinstance(node, ast.ImportFrom) and node.module == "curvebench":
                 for alias in node.names:
                     assert alias.name in curvebench.__all__, f"{demo.name}: {alias.name}"
+
+
+@pytest.mark.parametrize("name", ["01_curvature_families", "02_generate_instances",
+                                  "03_curvature_score"])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvebench.errors import MetricEstimationError
 from curvebench.estimation import (
@@ -15,6 +17,7 @@ from curvebench.estimation import (
     rescale_to_unit_box,
     roundtrip_score,
 )
+from curvebench.generator import sample_special_orthogonal
 from curvebench.geometry import MetricField, TensorGrid, l2_curvature_score, unit_grid
 
 CFG_FN = EstimationConfig(method="function_spline", rescale_output=False)
@@ -203,6 +206,19 @@ class TestFunctionEstimator:
         interior = fld.as_grid()[2:-2, 2:-2]
         assert np.max(np.abs(interior)) < 1e-3
 
+    @settings(max_examples=10, deadline=None)
+    @given(radius=st.floats(0.25, 4.0))
+    @example(radius=1.0)  # relative errors 7.4e-4, 1.7e-4, 4.2e-5
+    def test_sphere_patch_refinement_is_monotone(self, radius):
+        errs = []
+        for res in (16, 32, 64):
+            fld = estimate_curvature_via_function(
+                unit_grid(2, res), sphere_patch_samples(radius, res), CFG_FN
+            )
+            errs.append(np.max(np.abs(central_window(fld) - 1 / radius**2)) * radius**2)
+        assert errs[0] < 1e-3
+        assert errs[0] >= errs[1] >= errs[2]
+
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError, match="function_spline"):
             estimate_curvature_via_function(unit_grid(2, 8), np.zeros((64, 2)), CFG_KNN)
@@ -234,6 +250,29 @@ class TestMetricEstimator:
     def test_wrong_method_rejected(self):
         with pytest.raises(ValueError, match="metric_knn"):
             estimate_curvature_via_metric(unit_grid(2, 8), np.zeros((64, 2)), CFG_FN)
+
+
+class TestRigidMotionProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+        method=st.sampled_from(["metric_knn", "function_spline"]),
+        rescale=st.booleans(),
+    )
+    def test_flat_grid_under_rigid_motion_scores_zero(self, m, seed, shift, method, rescale):
+        # a rigid motion of the flat grid into R^m is an isometry, and the
+        # per-coordinate rescale keeps it affine, so both scores vanish
+        grid = unit_grid(2, 12)
+        pts = grid.points()
+        rot = sample_special_orthogonal(m, np.random.default_rng(seed))
+        moved = np.hstack([pts, np.zeros((pts.shape[0], m - 2))]) @ rot.T + shift[:m]
+        result = roundtrip_score(
+            grid, moved, EstimationConfig(method=method, rescale_output=rescale)
+        )
+        assert result.score < 1e-6
+        assert result.score_raw < 1e-6
 
 
 class TestMethodAgreement:

@@ -7,14 +7,13 @@ from curvebench.generator import (
     InstanceDescriptor,
     derive_seed,
     enumerate_suite,
-    evaluate_immersion,
     instance_id_for,
     make_descriptor,
-    make_grid,
     makegen,
     sample_special_orthogonal,
 )
 from curvebench import fileio
+from curvebench.geometry import unit_grid
 
 
 def flat_flat(eta=0.0, seed=7, resolution=32):
@@ -23,25 +22,27 @@ def flat_flat(eta=0.0, seed=7, resolution=32):
 
 
 class TestMakeGrid:
+    """The source grid every instance is evaluated on: unit_grid(n, r).points()."""
+
     def test_one_dimensional_axis(self):
-        grid = make_grid(1, 4)
-        assert np.array_equal(grid.points[:, 0], np.array([0, 1, 2, 3]) / 3)
+        pts = unit_grid(1, 4).points()
+        assert np.array_equal(pts[:, 0], np.array([0, 1, 2, 3]) / 3)
 
     def test_two_dimensional_cardinality(self):
-        grid = make_grid(2, 4)
-        assert grid.points.shape == (16, 2)
-        assert grid.points.min() == 0.0
-        assert grid.points.max() == 1.0
+        pts = unit_grid(2, 4).points()
+        assert pts.shape == (16, 2)
+        assert pts.min() == 0.0
+        assert pts.max() == 1.0
 
     def test_row_major_ordering(self):
-        grid = make_grid(2, 4)
+        pts = unit_grid(2, 4).points()
         # second axis varies fastest
-        assert np.array_equal(grid.points[1], [0.0, 1 / 3])
-        assert np.array_equal(grid.points[4], [1 / 3, 0.0])
+        assert np.array_equal(pts[1], [0.0, 1 / 3])
+        assert np.array_equal(pts[4], [1 / 3, 0.0])
 
     def test_minimum_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
-            make_grid(2, 3)
+            unit_grid(2, 3)
 
 
 class TestSpecialOrthogonal:
@@ -139,8 +140,8 @@ class TestEvaluateImmersion:
     def test_rotation_preserves_norms(self):
         d = make_descriptor(("circle", "sine"), (1.2, 1.8), eta=0.0, seed=3)
         imap = makegen(d)
-        grid = make_grid(2, 8).points
-        rotated = evaluate_immersion(imap, grid).points
+        grid = unit_grid(2, 8).points()
+        rotated = imap.evaluate(grid).points
         plain = imap.unrotated(grid)
         assert np.allclose(
             np.linalg.norm(rotated, axis=1), np.linalg.norm(plain, axis=1), atol=1e-10
@@ -149,26 +150,26 @@ class TestEvaluateImmersion:
     def test_identical_inputs_identical_outputs(self):
         d = flat_flat(eta=0.01)
         imap = makegen(d)
-        grid = make_grid(2, 8).points
+        grid = unit_grid(2, 8).points()
         assert np.array_equal(
-            evaluate_immersion(imap, grid).points,
-            evaluate_immersion(imap, grid.copy()).points,
+            imap.evaluate(grid).points,
+            imap.evaluate(grid.copy()).points,
         )
 
     def test_out_of_domain_coordinate_names_row(self):
         imap = makegen(flat_flat())
         bad = np.array([[0.1, 0.2], [0.3, 1.7], [0.5, 0.5]])
         with pytest.raises(ValueError, match="row 1"):
-            evaluate_immersion(imap, bad)
+            imap.evaluate(bad)
 
     def test_serialize_roundtrip_reproduces_bit_exactly(self, tmp_path):
         d = make_descriptor(("logistic", "circle"), (1.8, 1.2), eta=0.01, seed=99)
-        grid = make_grid(2, 16).points
-        before = evaluate_immersion(makegen(d), grid).points
+        grid = unit_grid(2, 16).points()
+        before = makegen(d).evaluate(grid).points
         path = tmp_path / "instance.json"
         fileio.write_instance_json(path, d)
         restored = fileio.read_instance_json(path)
-        after = evaluate_immersion(makegen(restored), grid).points
+        after = makegen(restored).evaluate(grid).points
         assert np.array_equal(before, after)
 
 
@@ -177,7 +178,7 @@ class TestPullbackInvariants:
         d = make_descriptor(("sine", "polyroll"), (1.2, 1.8), eta=0.0, seed=11)
         with_r = makegen(d)
         without_r = makegen(d, rotation=np.eye(7))
-        grid = make_grid(2, 8).points
+        grid = unit_grid(2, 8).points()
         g1 = with_r.pullback_metrics(grid)
         g2 = without_r.pullback_metrics(grid)
         assert np.max(np.abs(g1 - g2)) < 1e-8
@@ -185,7 +186,7 @@ class TestPullbackInvariants:
     def test_pullback_diagonal_is_unit(self):
         # each axis curve is unit speed, so g_ii = 1
         d = make_descriptor(("circle", "logistic"), (1.8, 1.8), eta=0.0, seed=5)
-        g = makegen(d).pullback_metrics(make_grid(2, 8).points)
+        g = makegen(d).pullback_metrics(unit_grid(2, 8).points())
         assert np.max(np.abs(g[:, 0, 0] - 1.0)) < 1e-6
         assert np.max(np.abs(g[:, 1, 1] - 1.0)) < 1e-6
 

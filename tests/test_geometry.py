@@ -13,8 +13,7 @@ from curvebench.geometry import (
     MetricField,
     SectionalCurvatureField,
     TensorGrid,
-    christoffel_at,
-    christoffel_derivatives,
+    christoffel,
     l2_curvature_score,
     pair_indices,
     pullback_from_jacobian,
@@ -71,9 +70,7 @@ def numeric_sectional_from_symbolic_metric(g_expr, coords, point, mode="standard
         [[[[float(sp.diff(g_expr[i, j], coords[k], coords[l]).subs(subs))
             for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
     )
-    gamma = christoffel_at(g, dg)
-    dgamma = christoffel_derivatives(g, dg, d2g)
-    return sectional_at(g, riemann_at(gamma, dgamma), mode=mode), g
+    return sectional_at(g, riemann_at(*christoffel(g, dg, d2g)), mode=mode), g
 
 
 class TestPullback:
@@ -92,11 +89,17 @@ class TestPullback:
             pullback_from_jacobian(np.array([[np.nan, 0], [0, 1]]))
 
 
+def gamma_only(g, dg):
+    """Christoffel symbols of a metric whose second derivatives vanish."""
+    return christoffel(g, dg, np.zeros(dg.shape + (dg.shape[-1],)))[0]
+
+
 class TestChristoffel:
     def test_constant_metric_has_no_connection(self):
         g = np.array([[2.0, 0.3], [0.3, 1.5]])
-        gamma = christoffel_at(g, np.zeros((2, 2, 2)))
+        gamma, dgamma = christoffel(g, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
         assert np.array_equal(gamma, np.zeros((2, 2, 2)))
+        assert np.array_equal(dgamma, np.zeros((2, 2, 2, 2)))
 
     def test_polar_type_metric(self):
         # g = diag(1, x1^2) at x1 = 2; symbolic oracle gives
@@ -104,7 +107,7 @@ class TestChristoffel:
         g = np.diag([1.0, 4.0])
         dg = np.zeros((2, 2, 2))
         dg[1, 1, 0] = 4.0
-        gamma = christoffel_at(g, dg)
+        gamma = gamma_only(g, dg)
         assert gamma[0, 1, 1] == pytest.approx(-2.0, abs=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
         assert gamma[1, 1, 0] == pytest.approx(0.5, abs=1e-12)
@@ -117,7 +120,7 @@ class TestChristoffel:
         g = np.diag([1.0, np.sin(x1) ** 2])
         dg = np.zeros((2, 2, 2))
         dg[1, 1, 0] = np.sin(2 * x1)
-        gamma = christoffel_at(g, dg)
+        gamma = gamma_only(g, dg)
         assert gamma[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -128,14 +131,12 @@ class TestChristoffel:
             g = a @ a.T + 3 * np.eye(3)
             dg = rng.normal(size=(3, 3, 3))
             dg = 0.5 * (dg + dg.swapaxes(0, 1))
-            gamma = christoffel_at(g, dg)
+            gamma = gamma_only(g, dg)
             assert np.array_equal(gamma, gamma.swapaxes(1, 2))
 
-    def test_singular_metric_raises_with_point_index(self):
-        g = np.zeros((2, 2))
-        with pytest.raises(DegenerateMetricError) as err:
-            christoffel_at(g, np.zeros((2, 2, 2)), lam=0.0, point_index=17)
-        assert err.value.point_index == 17
+    def test_singular_metric_raises(self):
+        with pytest.raises(DegenerateMetricError, match="not invertible"):
+            christoffel(np.zeros((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
 
 
 class TestRiemann:
@@ -261,9 +262,7 @@ class TestSameDimensionFlatness:
             dg[0, 1, 0] = dg[1, 0, 0] = 2.0
             d2g = np.zeros((2, 2, 2, 2))
             d2g[0, 0, 0, 0] = 8.0
-            gamma = christoffel_at(g, dg)
-            dgamma = christoffel_derivatives(g, dg, d2g)
-            k = sectional_at(g, riemann_at(gamma, dgamma))
+            k = sectional_at(g, riemann_at(*christoffel(g, dg, d2g)))
             assert np.max(np.abs(k)) < 1e-6
 
     def test_linear_isometry_scores_zero(self):
@@ -350,8 +349,8 @@ class TestFieldTypes:
         dg[:, 1, 1, 0] = 2 * np.exp(2 * pts[:, 0])
         d2g = np.zeros((grid.num_points, 2, 2, 2, 2))
         d2g[:, 1, 1, 0, 0] = 4 * np.exp(2 * pts[:, 0])
-        gamma = christoffel_at(g, dg)
-        riem = riemann_at(gamma, christoffel_derivatives(g, dg, d2g))
+        gamma, dgamma = christoffel(g, dg, d2g)
+        riem = riemann_at(gamma, dgamma)
         assert gamma.shape == (grid.num_points, 2, 2, 2)
         assert riem.shape == (grid.num_points, 2, 2, 2, 2)
         k = sectional_at(g, riem)

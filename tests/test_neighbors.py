@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
-from curvebench.generator import enumerate_suite, makegen, unit_grid
+from curvebench.generator import enumerate_suite, makegen
+from curvebench.geometry import unit_grid
 from curvebench.neighbors import (
     nearest_neighbors,
     pdist_squared_distance,
