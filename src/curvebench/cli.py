@@ -240,7 +240,7 @@ def _run_suite_job(job):
             mds_max_iter=mds_opts[0], mds_tol=mds_opts[1],
             hyperparameters=hyperparameters,
         )
-        scored = score_embedding(descriptor, result.Y, config, kn=kn)
+        scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
         report.update(scored)
         report["method"] = method
         report["hyperparameters"] = result.hyperparameters
@@ -417,7 +417,7 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
         try:
             result = reduce_dataset(method, X, descriptor.n, seed=seed,
                                     hyperparameters=hp)
-            scored = score_embedding(descriptor, result.Y, config, kn=kn)
+            scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
             value = scored["curvature_score"] if objective == "curvature" \
                 else -scored["npr"]
         except (CurvebenchError, ValueError) as exc:

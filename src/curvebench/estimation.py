@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.interpolate import NdBSpline, make_interp_spline
 
 from . import geometry
@@ -141,67 +142,101 @@ def rescale_to_unit_box(points) -> np.ndarray:
     return (points - lo) / extent
 
 
-def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
-    """Least-squares pullback metric at ``x`` from K neighbor differences.
+# nodes per stacked least-squares call: bounds the design array's memory
+KNN_CHUNK = 256
 
-    Fits the symmetric matrix A minimizing
-    sum_{i,j} (v_i^T A v_j - t_ij)^2 over all K^2 neighbor pairs, where
-    v_i = neighbors[i] - x and t_ij is the scalar product of the image
-    differences.  Exact for linear maps.  The rows are put in a canonical
-    order internally, so any permutation of the neighbors returns a
-    bit-identical result.
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def fit_knn_metrics(x, neighbors, image_x, image_neighbors):
+    """Least-squares pullback metrics at B nodes from K neighbor differences.
+
+    ``x`` is (B, n), ``neighbors`` (B, K, n), ``image_x`` (B, m) and
+    ``image_neighbors`` (B, K, m).  At each node the symmetric matrix A
+    minimizing sum_{i,j} (v_i^T A v_j - t_ij)^2 over all K^2 neighbor pairs
+    is fitted, where v_i = neighbors[i] - x and t_ij is the scalar product
+    of the image differences.  Exact for linear maps.  Each node's rows are
+    put in a canonical order first, so any permutation of its neighbors
+    gives a bit-identical result.  All B fits are one call of the gufunc
+    behind ``np.linalg.lstsq``, with its default ``rcond``, so each node's
+    result equals a ``np.linalg.lstsq`` fit bit for bit.
+
+    Returns (mats (B, n, n), failed): ``failed`` indexes the nodes whose
+    neighbor vectors do not span the source space (rank-deficient fit);
+    their matrices are ``EIG_FLOOR * I``.
     """
-    x = np.asarray(x, dtype=float)
-    neighbors = np.atleast_2d(np.asarray(neighbors, dtype=float))
-    image_x = np.asarray(image_x, dtype=float)
-    image_neighbors = np.atleast_2d(np.asarray(image_neighbors, dtype=float))
+    x, neighbors, image_x, image_neighbors = (
+        np.asarray(a, dtype=float) for a in (x, neighbors, image_x, image_neighbors)
+    )
     if not all(
         np.all(np.isfinite(a)) for a in (x, neighbors, image_x, image_neighbors)
     ):
-        raise ValueError("knn_metric_at inputs must be finite")
-    n = x.size
-    k = neighbors.shape[0]
-    if image_neighbors.shape[0] != k:
+        raise ValueError("knn metric fit inputs must be finite")
+    if neighbors.ndim != 3 or image_neighbors.ndim != 3:
+        raise ValueError("neighbors and image_neighbors must be (B, K, dim) stacks")
+    num, k, n = neighbors.shape
+    if image_neighbors.shape[:2] != (num, k):
         raise ValueError("neighbors and image_neighbors must have matching rows")
+    if x.shape != (num, n) or image_x.shape != (num, image_neighbors.shape[2]):
+        raise ValueError("x and image_x must hold one row per node")
     if k <= n:
         raise ValueError(
             f"need more neighbors than source dimensions (K > n); got K={k}, n={n}"
         )
 
+    m = image_neighbors.shape[2]
     order = np.lexsort(
-        tuple(image_neighbors[:, c] for c in range(image_neighbors.shape[1] - 1, -1, -1))
-        + tuple(neighbors[:, c] for c in range(n - 1, -1, -1))
-    )
-    v = neighbors[order] - x
-    w = image_neighbors[order] - image_x
+        tuple(image_neighbors[..., c] for c in range(m - 1, -1, -1))
+        + tuple(neighbors[..., c] for c in range(n - 1, -1, -1)),
+        axis=-1,
+    )[..., None]
+    v = np.take_along_axis(neighbors, order, axis=1) - x[:, None, :]
+    w = np.take_along_axis(image_neighbors, order, axis=1) - image_x[:, None, :]
 
-    targets = (w @ w.T).ravel()
+    targets = (w @ w.swapaxes(-1, -2)).reshape(num, k * k, 1)
     pairs = sym_indices(n)
-    design = np.empty((k * k, len(pairs)))
+    design = np.empty((num, k * k, len(pairs)))
     for col, (a, b) in enumerate(pairs):
-        if a == b:
-            block = np.multiply.outer(v[:, a], v[:, a])
-        else:
-            block = np.multiply.outer(v[:, a], v[:, b]) + np.multiply.outer(v[:, b], v[:, a])
-        design[:, col] = block.ravel()
-    solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    if rank < len(pairs):
+        block = v[:, :, None, a] * v[:, None, :, b]
+        if a != b:
+            block = block + v[:, :, None, b] * v[:, None, :, a]
+        design[:, :, col] = block.reshape(num, k * k)
+    rcond = np.finfo(float).eps * max(k * k, len(pairs))
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        solution, _, rank, _ = _umath_linalg.lstsq(
+            design, targets, rcond, signature="ddd->ddid"
+        )
+    mats = unpack_symmetric(solution[..., 0], n)
+    failed = np.nonzero(rank < len(pairs))[0]
+    mats[failed] = EIG_FLOOR * np.eye(n)
+    return mats, failed
+
+
+def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
+    """Least-squares pullback metric at one node: :func:`fit_knn_metrics`
+    for B = 1, raising :class:`MetricEstimationError` when the neighbor
+    vectors do not span the source space."""
+    mats, failed = fit_knn_metrics(
+        np.reshape(x, (1, -1)), np.atleast_2d(neighbors)[None],
+        np.reshape(image_x, (1, -1)), np.atleast_2d(image_neighbors)[None],
+    )
+    if failed.size:
         raise MetricEstimationError(
             "neighbor vectors do not span the source space; metric fit is rank-deficient"
         )
-    out = np.empty((n, n))
-    for col, (a, b) in enumerate(pairs):
-        out[a, b] = solution[col]
-        out[b, a] = solution[col]
-    return out
+    return mats[0]
 
 
 def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     """KNN least-squares metric at every grid node.
 
-    Returns (MetricField, diagnostics).  Eigenvalues below the inversion
-    floor are clamped so curvature can proceed; clamped and failed nodes
-    are listed in the diagnostics.
+    The nodes are fitted :data:`KNN_CHUNK` at a time.  Returns
+    (MetricField, diagnostics).  Eigenvalues below the inversion floor are
+    clamped so curvature can proceed; clamped and failed nodes are listed
+    in the diagnostics.
     """
     if not isinstance(grid, TensorGrid):
         grid = TensorGrid(tuple(grid))
@@ -216,13 +251,11 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     nn = nearest_neighbors(pts, k_neighbors, key=squared_distance)
     mats = np.empty((pts.shape[0], n, n))
     failed = []
-    for row in range(pts.shape[0]):
-        idx = nn[row]
-        try:
-            mats[row] = knn_metric_at(pts[row], pts[idx], f_samples[row], f_samples[idx])
-        except MetricEstimationError:
-            failed.append(row)
-            mats[row] = EIG_FLOOR * np.eye(n)
+    for start in range(0, pts.shape[0], KNN_CHUNK):
+        rows = slice(start, start + KNN_CHUNK)
+        idx = nn[rows]
+        mats[rows], bad = fit_knn_metrics(pts[rows], pts[idx], f_samples[rows], f_samples[idx])
+        failed.extend(start + int(i) for i in bad)
 
     w, vecs = np.linalg.eigh(mats)
     clamped = np.nonzero(np.any(w < EIG_FLOOR, axis=1))[0]

@@ -32,28 +32,34 @@ def write_point_cloud_csv(path, points, prefix: str = "x") -> None:
 
 def read_point_cloud_csv(path, prefix=None) -> np.ndarray:
     """Read a point-cloud CSV back; validates the header when ``prefix`` given."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    numbered = [
+        (lineno, ln) for lineno, ln in enumerate(Path(path).read_text().splitlines(), 1)
+        if ln.strip()
+    ]
+    if not numbered:
         raise ValueError(f"{path}: empty CSV")
-    header = [col.strip() for col in lines[0].split(",")]
+    header = [col.strip() for col in numbered[0][1].split(",")]
     if prefix is not None:
         expected = [f"{prefix}{i + 1}" for i in range(len(header))]
         if header != expected:
             raise ValueError(
-                f"{path}: expected header {','.join(expected)}, got {lines[0]!r}"
+                f"{path}: expected header {','.join(expected)}, got {numbered[0][1]!r}"
             )
-    try:
-        data = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-    if data.ndim != 2 or data.size == 0:
+    rows = []
+    for lineno, ln in numbered[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(
+                f"{path}: ragged rows (line {lineno} has {len(cells)} cells, "
+                f"the header {len(header)})"
+            )
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}: non-numeric cell on line {lineno} ({exc})") from None
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    return data
+    return np.array(rows, dtype=float)
 
 
 def write_instance_json(path, descriptor: InstanceDescriptor) -> None:

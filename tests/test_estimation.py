@@ -12,13 +12,21 @@ from curvebench.estimation import (
     estimate_curvature_via_metric,
     estimate_metric_knn,
     curvature_from_metric_field,
+    fit_knn_metrics,
     fit_spline,
     knn_metric_at,
     rescale_to_unit_box,
     roundtrip_score,
 )
 from curvebench.generator import sample_special_orthogonal
-from curvebench.geometry import MetricField, TensorGrid, l2_curvature_score, unit_grid
+from curvebench.geometry import (
+    EIG_FLOOR,
+    MetricField,
+    TensorGrid,
+    l2_curvature_score,
+    unit_grid,
+)
+from curvebench.neighbors import nearest_neighbors, squared_distance
 
 CFG_FN = EstimationConfig(method="function_spline", rescale_output=False)
 CFG_KNN = EstimationConfig(method="metric_knn", rescale_output=False)
@@ -36,6 +44,35 @@ def sphere_patch_samples(radius, resolution):
         ],
         axis=-1,
     ).reshape(-1, 3)
+
+
+def lstsq_metric_reference(x, neighbors, image_x, image_neighbors):
+    """One node's metric by a plain ``np.linalg.lstsq`` call, or None when
+    the fit is rank-deficient: the per-node fit the batched one replaces."""
+    n = x.size
+    k = neighbors.shape[0]
+    order = np.lexsort(
+        tuple(image_neighbors[:, c] for c in range(image_neighbors.shape[1] - 1, -1, -1))
+        + tuple(neighbors[:, c] for c in range(n - 1, -1, -1))
+    )
+    v = neighbors[order] - x
+    w = image_neighbors[order] - image_x
+    targets = (w @ w.T).ravel()
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    design = np.empty((k * k, len(pairs)))
+    for col, (a, b) in enumerate(pairs):
+        if a == b:
+            block = np.multiply.outer(v[:, a], v[:, a])
+        else:
+            block = np.multiply.outer(v[:, a], v[:, b]) + np.multiply.outer(v[:, b], v[:, a])
+        design[:, col] = block.ravel()
+    solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    if rank < len(pairs):
+        return None
+    out = np.empty((n, n))
+    for col, (a, b) in enumerate(pairs):
+        out[a, b] = out[b, a] = solution[col]
+    return out
 
 
 def central_window(field, lo=0.3, hi=0.7):
@@ -181,6 +218,97 @@ class TestEstimateMetricKnn:
         grid = unit_grid(2, 8)
         with pytest.raises(ValueError, match="exceed"):
             estimate_metric_knn(grid, grid.points(), 2)
+
+
+class TestBatchedKnnFit:
+    """The stacked fit equals a per-node ``np.linalg.lstsq`` fit bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(mats, failed, x, neighbors, image_x, image_neighbors):
+        expected_failed = []
+        for node in range(x.shape[0]):
+            ref = lstsq_metric_reference(
+                x[node], neighbors[node], image_x[node], image_neighbors[node]
+            )
+            if ref is None:
+                expected_failed.append(node)
+                assert np.array_equal(mats[node], EIG_FLOOR * np.eye(x.shape[1]))
+            else:
+                assert mats[node].tobytes() == ref.tobytes()
+        assert [int(i) for i in failed] == expected_failed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        extra=st.integers(1, 10),
+        m=st.integers(1, 5),
+        kinds=st.lists(
+            st.sampled_from(["generic", "low-rank", "near-low-rank", "duplicate", "rounded"]),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_clouds_match_per_node_lstsq(self, n, extra, m, kinds, seed):
+        k = min(n + extra, 12)
+        rng = np.random.default_rng(seed)
+        nodes = len(kinds)
+        x = rng.normal(size=(nodes, n))
+        v = rng.normal(size=(nodes, k, n))
+        for node, kind in enumerate(kinds):
+            if kind in ("low-rank", "near-low-rank"):
+                # neighbor differences in (or just off) a subspace of dimension < n,
+                # so the rank test decides at rcond's edge
+                basis = rng.normal(size=(rng.integers(1, n), n))
+                v[node] = rng.normal(size=(k, basis.shape[0])) @ basis
+                if kind == "near-low-rank":
+                    v[node] += 10.0 ** rng.uniform(-8.5, -6) * rng.normal(size=(k, n))
+            elif kind == "duplicate":
+                # repeated neighbor rows: ties in the canonical order
+                v[node] = v[node][rng.integers(0, rng.integers(1, k + 1), size=k)]
+            elif kind == "rounded":
+                # small integers: exact ties in single coordinates
+                v[node] = rng.integers(-2, 3, size=(k, n))
+        neighbors = x[:, None, :] + v
+        lift = rng.normal(size=(n, m))
+        image_x = np.tanh(x @ lift)
+        image_neighbors = np.tanh(neighbors @ lift) + 0.1 * neighbors[..., :1] ** 2
+        mats, failed = fit_knn_metrics(x, neighbors, image_x, image_neighbors)
+        self.assert_matches_reference(mats, failed, x, neighbors, image_x, image_neighbors)
+
+    def test_chunked_grid_fit_matches_per_node_lstsq(self):
+        # 400 nodes span two chunks of the stacked call
+        grid = unit_grid(2, 20)
+        pts = grid.points()
+        samples = np.column_stack([pts[:, 0], pts[:, 1], np.sin(pts[:, 0] * pts[:, 1])])
+        metric, diag = estimate_metric_knn(grid, samples, 9)
+        assert diag == {"failed_nodes": [], "clamped_nodes": []}
+        nn = nearest_neighbors(pts, 9, key=squared_distance)
+        self.assert_matches_reference(
+            metric.matrices(), [], pts, pts[nn], samples, samples[nn]
+        )
+
+    def test_collinear_neighbor_rows_fail_as_before(self):
+        # rows 4-7 of the first axis see only their own row among 8 neighbors
+        grid = TensorGrid((np.arange(12) * 0.02, np.arange(12) / 11))
+        pts = grid.points()
+        metric, diag = estimate_metric_knn(grid, pts, 8)
+        assert diag["failed_nodes"] == list(range(48, 96))
+        nn = nearest_neighbors(pts, 8, key=squared_distance)
+        self.assert_matches_reference(
+            metric.matrices(), diag["failed_nodes"], pts, pts[nn], pts, pts[nn]
+        )
+
+    def test_one_node_call_is_the_batched_fit(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 2))
+        nb = x[:, None, :] + 0.1 * rng.normal(size=(3, 7, 2))
+        img = np.concatenate([nb, nb[..., :1] ** 2], axis=-1)
+        img_x = np.concatenate([x, x[:, :1] ** 2], axis=-1)
+        mats, failed = fit_knn_metrics(x, nb, img_x, img)
+        assert failed.size == 0
+        for node in range(3):
+            single = knn_metric_at(x[node], nb[node], img_x[node], img[node])
+            assert single.tobytes() == mats[node].tobytes()
 
 
 class TestFunctionEstimator:
