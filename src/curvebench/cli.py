@@ -30,8 +30,8 @@ from .generator import (
     make_descriptor,
     makegen,
 )
-from .geometry import unit_grid
-from .reducers import npr, reduce_dataset, share_classical_mds_lock
+from .geometry import check_trim, unit_grid
+from .reducers import check_kn, npr, reduce_dataset, share_classical_mds_lock
 
 DEFAULT_KN = 10
 
@@ -82,6 +82,12 @@ def _write_dataset(descriptor: InstanceDescriptor, out_dir: Path,
     return csv_path
 
 
+def _check_scoring_args(grid, trim: int, kn: int) -> None:
+    """Reject a ``trim`` or NPR ``kn`` that ``grid`` cannot support."""
+    check_trim(grid.shape, trim)
+    check_kn(grid.num_points, kn)
+
+
 def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
                     kn: int = DEFAULT_KN, dataset=None) -> dict:
     """Score one embedding against its instance: curvature score plus NPR.
@@ -90,6 +96,7 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
     ``dataset`` is supplied (e.g. read back from a generated CSV).
     """
     grid = unit_grid(descriptor.n, descriptor.grid_resolution)
+    _check_scoring_args(grid, config.trim, kn)
     npts = grid.num_points
     Y = np.asarray(Y, dtype=float)
     if Y.shape[0] != npts:
@@ -266,9 +273,6 @@ def cmd_suite(args) -> int:
     if args.limit < 0 or args.repeats < 1:
         print("suite: need --limit >= 0 and --repeats >= 1", file=sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         print("suite: need at least one method", file=sys.stderr)
@@ -284,6 +288,15 @@ def cmd_suite(args) -> int:
     if args.limit:
         descriptors = descriptors[: args.limit]
     config = _estimator_config(args)
+    try:
+        for n in {d.n for d in descriptors}:
+            _check_scoring_args(unit_grid(n, args.resolution), config.trim, args.kn)
+    except ValueError as exc:
+        print(f"suite: {exc} (--resolution {args.resolution})", file=sys.stderr)
+        return 2
+    out_dir = Path(args.out_dir)
+    reports_dir = out_dir / "reports"
+    reports_dir.mkdir(parents=True, exist_ok=True)
 
     tuned = {}
     if args.tune_space:
@@ -405,9 +418,10 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
         raise ValueError("budget must be >= 1")
     if objective not in ("curvature", "npr"):
         raise ValueError(f"objective must be 'curvature' or 'npr', got {objective!r}")
+    grid = unit_grid(descriptor.n, descriptor.grid_resolution)
+    _check_scoring_args(grid, config.trim, kn)
     rng = np.random.default_rng(seed)
     imap = makegen(descriptor)
-    grid = unit_grid(descriptor.n, descriptor.grid_resolution)
     X = imap.evaluate(grid.points()).points
 
     best = None

@@ -15,6 +15,7 @@ Two routes, selected by :class:`EstimationConfig.method`:
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -144,10 +145,48 @@ def rescale_to_unit_box(points) -> np.ndarray:
 
 # nodes per stacked least-squares call: bounds the design array's memory
 KNN_CHUNK = 256
+# (grid, k) neighbor tables kept per process by knn_stencil, N*k*8 bytes each;
+# a score's two passes, and a run of scores, use one (grid, k)
+STENCIL_CACHE_SIZE = 2
 
 
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve_knn(v, w):
+    """The stacked least-squares solve of :func:`fit_knn_metrics` on neighbor
+    differences ``v`` (B, K, n) and ``w`` (B, K, m), rows already in the
+    canonical order."""
+    num, k, n = v.shape
+    targets = (w @ w.swapaxes(-1, -2)).reshape(num, k * k, 1)
+    pairs = sym_indices(n)
+    design = np.empty((num, k * k, len(pairs)))
+    for col, (a, b) in enumerate(pairs):
+        block = v[:, :, None, a] * v[:, None, :, b]
+        if a != b:
+            block = block + v[:, :, None, b] * v[:, None, :, a]
+        design[:, :, col] = block.reshape(num, k * k)
+    rcond = np.finfo(float).eps * max(k * k, len(pairs))
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        solution, _, rank, _ = _umath_linalg.lstsq(
+            design, targets, rcond, signature="ddd->ddid"
+        )
+    mats = unpack_symmetric(solution[..., 0], n)
+    failed = np.nonzero(rank < len(pairs))[0]
+    mats[failed] = EIG_FLOOR * np.eye(n)
+    return mats, failed
+
+
+def _canonical_order(neighbors, image_neighbors=None):
+    """Canonical row order of each node's neighbors: by source coordinates,
+    first axis first, then by image coordinates."""
+    keys = tuple(neighbors[..., c] for c in range(neighbors.shape[-1] - 1, -1, -1))
+    if image_neighbors is not None:
+        keys = tuple(image_neighbors[..., c]
+                     for c in range(image_neighbors.shape[-1] - 1, -1, -1)) + keys
+    return np.lexsort(keys, axis=-1)
 
 
 def fit_knn_metrics(x, neighbors, image_x, image_neighbors):
@@ -186,33 +225,31 @@ def fit_knn_metrics(x, neighbors, image_x, image_neighbors):
             f"need more neighbors than source dimensions (K > n); got K={k}, n={n}"
         )
 
-    m = image_neighbors.shape[2]
-    order = np.lexsort(
-        tuple(image_neighbors[..., c] for c in range(m - 1, -1, -1))
-        + tuple(neighbors[..., c] for c in range(n - 1, -1, -1)),
-        axis=-1,
-    )[..., None]
+    order = _canonical_order(neighbors, image_neighbors)[..., None]
     v = np.take_along_axis(neighbors, order, axis=1) - x[:, None, :]
     w = np.take_along_axis(image_neighbors, order, axis=1) - image_x[:, None, :]
+    return _solve_knn(v, w)
 
-    targets = (w @ w.swapaxes(-1, -2)).reshape(num, k * k, 1)
-    pairs = sym_indices(n)
-    design = np.empty((num, k * k, len(pairs)))
-    for col, (a, b) in enumerate(pairs):
-        block = v[:, :, None, a] * v[:, None, :, b]
-        if a != b:
-            block = block + v[:, :, None, b] * v[:, None, :, a]
-        design[:, :, col] = block.reshape(num, k * k)
-    rcond = np.finfo(float).eps * max(k * k, len(pairs))
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        solution, _, rank, _ = _umath_linalg.lstsq(
-            design, targets, rcond, signature="ddd->ddid"
-        )
-    mats = unpack_symmetric(solution[..., 0], n)
-    failed = np.nonzero(rank < len(pairs))[0]
-    mats[failed] = EIG_FLOOR * np.eye(n)
-    return mats, failed
+
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _cached_stencil(axes_bytes, k):
+    pts = TensorGrid(tuple(np.frombuffer(b) for b in axes_bytes)).points()
+    nn = nearest_neighbors(pts, k, key=squared_distance)
+    nn = np.take_along_axis(nn, _canonical_order(pts[nn]), axis=1)
+    nn.flags.writeable = False
+    return nn
+
+
+def knn_stencil(grid: TensorGrid, k: int) -> np.ndarray:
+    """The (N, k) nearest-neighbor table of ``grid``'s nodes, each row in the
+    canonical order of :func:`fit_knn_metrics`, cached per (axes, k).
+
+    The nodes of a tensor grid are distinct, so the source coordinates alone
+    fix the order and the image never breaks a tie: fitting these rows
+    directly equals :func:`fit_knn_metrics` bit for bit.  The table is
+    read-only.
+    """
+    return _cached_stencil(tuple(a.tobytes() for a in grid.axes), int(k))
 
 
 def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
@@ -233,10 +270,11 @@ def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
 def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     """KNN least-squares metric at every grid node.
 
-    The nodes are fitted :data:`KNN_CHUNK` at a time.  Returns
-    (MetricField, diagnostics).  Eigenvalues below the inversion floor are
-    clamped so curvature can proceed; clamped and failed nodes are listed
-    in the diagnostics.
+    The neighbors come from :func:`knn_stencil`, so each (grid, k) is
+    searched once per process; the nodes are fitted :data:`KNN_CHUNK` at a
+    time.  Returns (MetricField, diagnostics).  Eigenvalues below the
+    inversion floor are clamped so curvature can proceed; clamped and failed
+    nodes are listed in the diagnostics.
     """
     if not isinstance(grid, TensorGrid):
         grid = TensorGrid(tuple(grid))
@@ -247,14 +285,17 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
         raise ValueError("f_samples rows must align with the grid rows")
     if k_neighbors <= n:
         raise ValueError(f"k_neighbors must exceed n={n}")
+    if not np.all(np.isfinite(f_samples)):
+        raise ValueError("knn metric fit inputs must be finite")
 
-    nn = nearest_neighbors(pts, k_neighbors, key=squared_distance)
+    stencil = knn_stencil(grid, k_neighbors)
     mats = np.empty((pts.shape[0], n, n))
     failed = []
     for start in range(0, pts.shape[0], KNN_CHUNK):
         rows = slice(start, start + KNN_CHUNK)
-        idx = nn[rows]
-        mats[rows], bad = fit_knn_metrics(pts[rows], pts[idx], f_samples[rows], f_samples[idx])
+        idx = stencil[rows]
+        mats[rows], bad = _solve_knn(pts[idx] - pts[rows, None, :],
+                                     f_samples[idx] - f_samples[rows, None, :])
         failed.extend(start + int(i) for i in bad)
 
     w, vecs = np.linalg.eigh(mats)

@@ -306,6 +306,17 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     return w
 
 
+def check_trim(shape, trim: int) -> None:
+    """Raise ValueError unless ``trim`` keeps >= 2 interior nodes per axis."""
+    if trim < 1:
+        raise ValueError("trim must be >= 1")
+    for size in shape:
+        if size - 2 * trim < 2:
+            raise ValueError(
+                f"trim={trim} leaves fewer than 2 interior nodes on an axis of size {size}"
+            )
+
+
 def l2_curvature_score(fld: SectionalCurvatureField, trim: int = 2) -> float:
     """L2 norm of all sectional curvatures over the trimmed grid interior.
 
@@ -313,14 +324,8 @@ def l2_curvature_score(fld: SectionalCurvatureField, trim: int = 2) -> float:
     grid after removing ``trim`` node layers from every boundary side.
     """
     trim = int(trim)
-    if trim < 1:
-        raise ValueError("trim must be >= 1")
     grid = fld.grid
-    for size in grid.shape:
-        if size - 2 * trim < 2:
-            raise ValueError(
-                f"trim={trim} leaves fewer than 2 interior nodes on an axis of size {size}"
-            )
+    check_trim(grid.shape, trim)
     kept = [a[trim:-trim] for a in grid.axes]
     kgrid = fld.as_grid()[tuple(slice(trim, -trim) for _ in grid.axes)]
     weights = _trapezoid_weights(kept[0])

@@ -57,9 +57,10 @@ def nearest_neighbors(points, k: int, key) -> np.ndarray:
     tree = cKDTree(pts)
     out = np.empty((npts, k), dtype=np.intp)
     rows = np.arange(npts)
-    # On a regular grid 2k + 1 candidates reach past the k-th distance
-    # shell, so most rows are settled by the first query.
-    width = min(npts, 2 * k + 1)
+    # k + 2 candidates are the fewest that can settle a row: the row itself,
+    # its k neighbors and one more whose distance bounds the radius.  Rows
+    # whose k-th key ties or reaches that radius are queried again, wider.
+    width = min(npts, k + 2)
     while rows.size:
         radius, cand = tree.query(pts[rows], k=width)
         keys = key(pts[rows, None, :] - pts[cand])

@@ -178,6 +178,12 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
     )
 
 
+def check_kn(npts: int, kn: int) -> None:
+    """Raise ValueError unless ``kn`` is an NPR neighborhood size for ``npts`` points."""
+    if not (1 <= kn <= npts - 1):
+        raise ValueError(f"kn must be in [1, {npts - 1}], got {kn}")
+
+
 def npr(x_high, y_low, kn: int = 10) -> float:
     """Neighborhood preservation ratio in [0, 1].
 
@@ -189,9 +195,7 @@ def npr(x_high, y_low, kn: int = 10) -> float:
     y_low = np.asarray(y_low, dtype=float)
     if x_high.shape[0] != y_low.shape[0]:
         raise ValueError("point counts differ between the two spaces")
-    npts = x_high.shape[0]
-    if not (1 <= kn <= npts - 1):
-        raise ValueError(f"kn must be in [1, {npts - 1}], got {kn}")
+    check_kn(x_high.shape[0], kn)
     if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(y_low))):
         raise ValueError("NPR inputs must be finite")
     high, low = (

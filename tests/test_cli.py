@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvebench import fileio
+from curvebench import cli, estimation, fileio
 from curvebench.cli import main, score_embedding, tune_hyperparameters
 from curvebench.estimation import EstimationConfig
 
@@ -160,6 +160,44 @@ class TestReduceAndScore:
         with pytest.raises(ValueError, match="dataset entries must be finite"):
             score_embedding(descriptor, X[:, :2], config, dataset=bad_x)
 
+    @pytest.mark.parametrize("trim,kn,match", [
+        (8, 10, "trim=8 leaves fewer than 2 interior nodes"),
+        (2, 0, r"kn must be in \[1, 255\], got 0"),
+        (2, 256, r"kn must be in \[1, 255\], got 256"),
+    ])
+    def test_bad_trim_or_kn_rejected_before_any_fit(self, tmp_path, monkeypatch,
+                                                    trim, kn, match):
+        inst, csv = generate_flat(tmp_path)
+        descriptor = fileio.read_instance_json(inst)
+        X = fileio.read_point_cloud_csv(csv, prefix="x")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started before the trim/kn check")
+
+        monkeypatch.setattr(cli, "roundtrip_score", no_fit)
+        with pytest.raises(ValueError, match=match):
+            score_embedding(descriptor, X[:, :2], EstimationConfig(trim=trim), kn=kn,
+                            dataset=X)
+
+    def test_two_scores_search_the_grid_once(self, tmp_path, monkeypatch):
+        inst, csv = generate_flat(tmp_path, identity=False, eta="0.01")
+        descriptor = fileio.read_instance_json(inst)
+        X = fileio.read_point_cloud_csv(csv, prefix="x")
+        calls = []
+        search = estimation.nearest_neighbors
+
+        def counting_search(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "nearest_neighbors", counting_search)
+        estimation._cached_stencil.cache_clear()
+        config = EstimationConfig(k_neighbors=9, rescale_output=True)
+        first = score_embedding(descriptor, X[:, :2], config, dataset=X)
+        second = score_embedding(descriptor, X[:, 2:4], config, dataset=X)
+        assert calls == [9]
+        assert first["curvature_score"] != second["curvature_score"]
+
     def test_estimator_and_mode_flags(self, tmp_path):
         inst, csv = generate_flat(tmp_path)
         grid = fileio.read_point_cloud_csv(csv, prefix="x")[:, :2]
@@ -236,6 +274,24 @@ class TestSuite:
             "--out-dir", out_dir,
         ]) == 2
         assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--trim", "8"], ["--kn", "0"], ["--kn", "256"], ["--methods", "mds", "--kn", "300"],
+    ])
+    def test_bad_trim_or_kn_rejected_before_any_job(self, tmp_path, monkeypatch, capsys,
+                                                    flags):
+        def no_job(job):
+            raise AssertionError("suite job started before the trim/kn check")
+
+        monkeypatch.setattr(cli, "_run_suite_job", no_job)
+        out_dir = tmp_path / "bad"
+        assert run([
+            "suite", "--methods", "pca", "--resolution", "16", "--limit", "1",
+            *flags, "--out-dir", out_dir,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--resolution 16" in err and ("trim=8" in err or "kn must be" in err)
         assert not out_dir.exists()
 
     def test_parallel_workers_match_serial(self, tmp_path):
@@ -351,6 +407,17 @@ class TestTune:
         with pytest.raises(ValueError, match="objective"):
             tune_hyperparameters("pca", {}, 1, descriptor, EstimationConfig(),
                                  objective="curvatur")
+
+    def test_bad_kn_rejected_before_any_reduction(self, tmp_path, monkeypatch):
+        inst, _ = generate_flat(tmp_path)
+        descriptor = fileio.read_instance_json(inst)
+
+        def no_reduce(*args, **kwargs):
+            raise AssertionError("reduction started before the kn check")
+
+        monkeypatch.setattr(cli, "reduce_dataset", no_reduce)
+        with pytest.raises(ValueError, match="kn must be"):
+            tune_hyperparameters("pca", {}, 3, descriptor, EstimationConfig(), kn=0)
 
 
 class TestPlot:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvebench import estimation
 from curvebench.errors import MetricEstimationError
 from curvebench.estimation import (
     EstimationConfig,
@@ -15,6 +16,7 @@ from curvebench.estimation import (
     fit_knn_metrics,
     fit_spline,
     knn_metric_at,
+    knn_stencil,
     rescale_to_unit_box,
     roundtrip_score,
 )
@@ -309,6 +311,70 @@ class TestBatchedKnnFit:
         for node in range(3):
             single = knn_metric_at(x[node], nb[node], img_x[node], img[node])
             assert single.tobytes() == mats[node].tobytes()
+
+
+@st.composite
+def stencil_cases(draw):
+    """A strictly increasing, non-uniform 2-D grid, a k in n+1..12 and an image."""
+    sizes = draw(st.lists(st.integers(2, 9), min_size=2, max_size=2)
+                 .filter(lambda s: s[0] * s[1] > 3))
+    axes = tuple(
+        np.cumsum(draw(st.lists(st.floats(0.01, 3.0), min_size=size, max_size=size)))
+        for size in sizes
+    )
+    k = draw(st.integers(3, min(12, sizes[0] * sizes[1] - 1)))
+    return TensorGrid(axes), k, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestKnnStencil:
+    """estimate_metric_knn on the cached (grid, k) table equals a per-node
+    ``np.linalg.lstsq`` fit on a freshly searched table, on cache miss and hit."""
+
+    @staticmethod
+    def check_against_reference(grid, k, samples):
+        metric, diag = estimate_metric_knn(grid, samples, k)
+        pts = grid.points()
+        nn = nearest_neighbors(pts, k, key=squared_distance)
+        refs = [lstsq_metric_reference(pts[i], pts[nn[i]], samples[i], samples[nn[i]])
+                for i in range(grid.num_points)]
+        assert diag["failed_nodes"] == [i for i, ref in enumerate(refs) if ref is None]
+        ref_mats = np.stack([EIG_FLOOR * np.eye(grid.n) if ref is None else ref
+                             for ref in refs])
+        expected_clamped = np.nonzero(np.linalg.eigvalsh(ref_mats)[:, 0] < EIG_FLOOR)[0]
+        assert diag["clamped_nodes"] == [int(i) for i in expected_clamped]
+        if not expected_clamped.size:  # a clamp re-forms every node's matrix
+            assert metric.matrices().tobytes() == ref_mats.tobytes()
+
+    @staticmethod
+    def image(grid, m, seed):
+        """A random map: a full-rank linear part (so that clamping is rare)
+        plus ``m`` smooth and noisy coordinates."""
+        pts = grid.points()
+        rng = np.random.default_rng(seed)
+        linear = pts @ sample_special_orthogonal(grid.n, rng) * rng.uniform(0.5, 2.0, grid.n)
+        lift = rng.normal(size=(grid.n, m))
+        rough = np.tanh(pts @ lift) + 0.1 * rng.normal(size=(pts.shape[0], m)) ** 3
+        return np.column_stack([linear, rough])
+
+    @settings(max_examples=25, deadline=None)
+    @given(first=stencil_cases(), second=stencil_cases())
+    @example(
+        first=(TensorGrid((np.array([0.0, 0.1, 0.5, 0.6]), np.array([0.0, 1.0, 1.1, 3.0]),
+                           np.array([0.0, 0.3, 2.0]))), 12, 4, 7),
+        second=(unit_grid(2, 5), 3, 1, 8),
+    )
+    def test_cached_table_matches_per_node_lstsq(self, first, second):
+        estimation._cached_stencil.cache_clear()
+        cases = [(grid, k, self.image(grid, m, seed)) for grid, k, m, seed in (first, second)]
+        for grid, k, samples in cases + cases:  # miss, miss, then hit, hit
+            self.check_against_reference(grid, k, samples)
+        for grid, k, _ in cases:
+            table = knn_stencil(grid, k)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+        assert estimation._cached_stencil.cache_info().misses == len({
+            (tuple(a.tobytes() for a in grid.axes), k) for grid, k, _ in cases
+        })
 
 
 class TestFunctionEstimator:
