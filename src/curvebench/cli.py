@@ -115,7 +115,7 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
             raise ValueError("dataset entries must be finite")
     start = time.perf_counter()
     result = roundtrip_score(grid, Y, config)
-    diag = result.diagnostics
+    diag = result.field.diagnostics
     suspect = set(diag.get("degenerate_nodes", [])) | set(diag.get("clamped_nodes", [])) \
         | set(diag.get("failed_nodes", [])) | set(diag.get("floored_plane_nodes", []))
     if len(suspect) > 0.5 * npts:
@@ -270,8 +270,8 @@ def _summary_line(report) -> str:
 
 
 def cmd_suite(args) -> int:
-    if args.limit < 0 or args.repeats < 1:
-        print("suite: need --limit >= 0 and --repeats >= 1", file=sys.stderr)
+    if args.limit < 0 or args.repeats < 1 or args.workers < 1:
+        print("suite: need --limit >= 0, --repeats >= 1 and --workers >= 1", file=sys.stderr)
         return 2
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
@@ -294,13 +294,10 @@ def cmd_suite(args) -> int:
     except ValueError as exc:
         print(f"suite: {exc} (--resolution {args.resolution})", file=sys.stderr)
         return 2
-    out_dir = Path(args.out_dir)
-    reports_dir = out_dir / "reports"
-    reports_dir.mkdir(parents=True, exist_ok=True)
 
     tuned = {}
     if args.tune_space:
-        space = fileio.read_json(args.tune_space)
+        space = _read_space(args.tune_space)
         for method in methods:
             if method in space:
                 tuned[method] = tune_hyperparameters(
@@ -308,6 +305,9 @@ def cmd_suite(args) -> int:
                     config, seed=derive_seed(master_seed, f"tune-{method}"),
                     objective=args.objective, kn=args.kn,
                 )["hyperparameters"]
+    out_dir = Path(args.out_dir)
+    reports_dir = out_dir / "reports"
+    reports_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = [
         (desc, method, repeat, config, args.kn,
@@ -387,20 +387,31 @@ def _write_median_table(path, reports, methods, descriptors) -> None:
 # ----------------------------------------------------------------------
 # tune
 
+def _read_space(path) -> dict:
+    """A hyperparameter space JSON file, which must hold one object."""
+    space = fileio.read_json(path)
+    if not isinstance(space, dict):
+        raise ValueError(f"{path}: hyperparameter space must be a JSON object")
+    return space
+
+
 def _sample_space(space: dict, rng: np.random.Generator) -> dict:
+    if not isinstance(space, dict):
+        raise ValueError("hyperparameter space must be a JSON object")
     out = {}
     for name, decl in sorted(space.items()):
-        if isinstance(decl, dict) and "values" in decl:
+        if isinstance(decl, dict) and decl.get("values"):
             choices = decl["values"]
             out[name] = choices[int(rng.integers(len(choices)))]
-        elif isinstance(decl, dict) and decl.get("type") == "int":
-            out[name] = int(rng.integers(int(decl["low"]), int(decl["high"]) + 1))
-        elif isinstance(decl, dict) and "low" in decl:
-            out[name] = float(rng.uniform(float(decl["low"]), float(decl["high"])))
-        else:
+        elif not (isinstance(decl, dict) and "low" in decl and "high" in decl):
             raise ValueError(
-                f"hyperparameter {name!r} must declare 'values' or 'low'/'high'"
+                f"hyperparameter {name!r} must declare non-empty 'values' "
+                "or both 'low' and 'high'"
             )
+        elif decl.get("type") == "int":
+            out[name] = int(rng.integers(int(decl["low"]), int(decl["high"]) + 1))
+        else:
+            out[name] = float(rng.uniform(float(decl["low"]), float(decl["high"])))
     return out
 
 
@@ -455,7 +466,7 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
 
 def cmd_tune(args) -> int:
     descriptor = fileio.read_instance_json(args.instance)
-    space = fileio.read_json(args.space) if args.space else {}
+    space = _read_space(args.space) if args.space else {}
     config = _estimator_config(args)
     result = tune_hyperparameters(
         args.method, space, args.budget, descriptor, config,

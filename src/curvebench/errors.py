@@ -9,10 +9,6 @@ class DegenerateMetricError(CurvebenchError):
     """Metric matrix is singular (or nearly so) and cannot be inverted."""
 
 
-class DegeneratePlaneError(CurvebenchError):
-    """Coordinate plane has (numerically) zero area under the metric."""
-
-
 class MetricEstimationError(CurvebenchError):
     """Least-squares metric fit failed (e.g. neighbors do not span)."""
 

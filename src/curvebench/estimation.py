@@ -33,44 +33,19 @@ from .geometry import (
     l2_curvature_score,
     regularization_for,
     riemann_at,
+    sectional_at,
     sym_indices,
     unpack_symmetric,
 )
 from .neighbors import nearest_neighbors, squared_distance
 
 
-@dataclass(frozen=True)
-class SplineField:
-    """Tensor-product cubic spline of a c-component field on a tensor grid.
-
-    Derivative queries of order <= 3 per axis are available everywhere in
-    the hypercube; the third derivative is piecewise constant per cell.
-    """
-
-    grid: TensorGrid
-    spline: NdBSpline  # coefficients (*basis_shape, c)
-
-    @property
-    def ncomp(self) -> int:
-        return self.spline.c.shape[-1]
-
-    def __call__(self, points, nu=None) -> np.ndarray:
-        """Evaluate (or differentiate) all components at ``points`` (Q, n).
-
-        ``nu`` is a per-axis derivative-order tuple, each entry <= 3.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if nu is not None:
-            nu = tuple(int(d) for d in nu)
-            if len(nu) != self.grid.n or any(d < 0 or d > 3 for d in nu):
-                raise ValueError("nu must give one order in 0..3 per axis")
-        return self.spline(points, nu=nu)
-
-
-def fit_spline(grid: TensorGrid, samples) -> SplineField:
+def fit_spline(grid: TensorGrid, samples) -> NdBSpline:
     """Interpolating cubic spline (not-a-knot) of row-aligned grid samples.
 
-    ``samples`` is (N, c) with rows in the grid's row-major order.
+    ``samples`` is (N, c) with rows in the grid's row-major order; the
+    spline's coefficients are (*basis_shape, c), so a call at (Q, n) points
+    returns (Q, c).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] != grid.num_points:
@@ -89,17 +64,17 @@ def fit_spline(grid: TensorGrid, samples) -> SplineField:
         spl = make_interp_spline(nodes, coeffs, k=3, axis=ax)
         knots.append(spl.t)
         coeffs = np.moveaxis(spl.c, 0, ax)
-    return SplineField(grid=grid, spline=NdBSpline(tuple(knots), coeffs, k=3))
+    return NdBSpline(tuple(knots), coeffs, k=3)
 
 
-def _spline_derivatives(spline: SplineField, pts, order: int) -> np.ndarray:
+def _spline_derivatives(spline: NdBSpline, pts, order: int) -> np.ndarray:
     """All partial derivatives of total ``order`` of ``spline`` at ``pts``.
 
     Returns the symmetric (Q, c, n, ..., n) tensor with ``order`` trailing
     axes; one spline call per sorted index tuple fills every permutation.
     """
-    n = spline.grid.n
-    out = np.empty((pts.shape[0], spline.ncomp) + (n,) * order)
+    n = len(spline.t)
+    out = np.empty((pts.shape[0], spline.c.shape[-1]) + (n,) * order)
     for axes in combinations_with_replacement(range(n), order):
         nu = [0] * n
         for axis in axes:
@@ -267,7 +242,7 @@ def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
     return mats[0]
 
 
-def estimate_metric_knn(grid, f_samples, k_neighbors: int):
+def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
     """KNN least-squares metric at every grid node.
 
     The neighbors come from :func:`knn_stencil`, so each (grid, k) is
@@ -276,8 +251,6 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     inversion floor are clamped so curvature can proceed; clamped and failed
     nodes are listed in the diagnostics.
     """
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
     f_samples = np.asarray(f_samples, dtype=float)
     pts = grid.points()
     n = grid.n
@@ -303,7 +276,6 @@ def estimate_metric_knn(grid, f_samples, k_neighbors: int):
     if clamped.size:
         w = np.maximum(w, EIG_FLOOR)
         mats = np.einsum("nij,nj,nkj->nik", vecs, w, vecs)
-        mats = 0.5 * (mats + mats.swapaxes(-1, -2))
     diagnostics = {
         "failed_nodes": failed,
         "clamped_nodes": [int(i) for i in clamped],
@@ -316,7 +288,7 @@ def _sectional_from_metric_data(grid, g, dg, d2g, mode):
     lam = regularization_for(g)
     degenerate = [int(i) for i in np.nonzero(lam > 0)[0]]
     riem = riemann_at(*christoffel(g, dg, d2g, lam))
-    values, floored = geometry._sectional_floored(g, riem, mode)
+    values, floored = sectional_at(g, riem, mode)
     diagnostics = {
         "degenerate_nodes": degenerate,
         "floored_plane_nodes": [int(i) for i in np.nonzero(floored)[0]],
@@ -325,18 +297,16 @@ def _sectional_from_metric_data(grid, g, dg, d2g, mode):
     return SectionalCurvatureField(grid=grid, values=values, mode=mode, diagnostics=diagnostics)
 
 
-def _prepare_samples(grid, f_samples, config: EstimationConfig, method: str):
-    """Check the method; return the grid and the (N, c), optionally rescaled, samples."""
+def _prepare_samples(f_samples, config: EstimationConfig, method: str):
+    """Check the method; return the (N, c), optionally rescaled, samples."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
     f_samples = np.asarray(f_samples, dtype=float)
     if f_samples.ndim == 1:
         f_samples = f_samples[:, None]
     if config.rescale_output:
         f_samples = rescale_to_unit_box(f_samples)
-    return grid, f_samples
+    return f_samples
 
 
 def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
@@ -346,7 +316,7 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
     from spline derivatives of f (orders 1..3) by the product rule, then
     fed through the Christoffel/Riemann/sectional chain at every node.
     """
-    grid, f_samples = _prepare_samples(grid, f_samples, config, "function_spline")
+    f_samples = _prepare_samples(f_samples, config, "function_spline")
     spline = fit_spline(grid, f_samples)
     pts = grid.points()
 
@@ -381,7 +351,7 @@ def curvature_from_metric_field(metric: MetricField, config: EstimationConfig):
 
 def estimate_curvature_via_metric(grid, f_samples, config: EstimationConfig):
     """Sectional curvature via KNN metric estimation plus metric splines."""
-    grid, f_samples = _prepare_samples(grid, f_samples, config, "metric_knn")
+    f_samples = _prepare_samples(f_samples, config, "metric_knn")
     metric, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
     fld = curvature_from_metric_field(metric, config)
     diagnostics = dict(fld.diagnostics)
@@ -403,17 +373,14 @@ class RoundTripScore:
     score: float
     score_raw: float
     field: SectionalCurvatureField
-    diagnostics: dict
 
 
-def roundtrip_score(grid, reduced_points, config: EstimationConfig) -> RoundTripScore:
+def roundtrip_score(grid: TensorGrid, reduced_points, config: EstimationConfig) -> RoundTripScore:
     """Curvature score of a round trip, at both stored scales.
 
     ``score`` honors ``config.rescale_output``; ``score_raw`` is always the
     raw-coordinate score.  Both run the same estimator.
     """
-    if not isinstance(grid, TensorGrid):
-        grid = TensorGrid(tuple(grid))
     fld = estimate_curvature(grid, reduced_points, config)
     score = l2_curvature_score(fld, trim=config.trim)
     if config.rescale_output:
@@ -422,9 +389,4 @@ def roundtrip_score(grid, reduced_points, config: EstimationConfig) -> RoundTrip
         score_raw = l2_curvature_score(raw_fld, trim=config.trim)
     else:
         score_raw = score
-    return RoundTripScore(
-        score=float(score),
-        score_raw=float(score_raw),
-        field=fld,
-        diagnostics=fld.diagnostics,
-    )
+    return RoundTripScore(score=float(score), score_raw=float(score_raw), field=fld)

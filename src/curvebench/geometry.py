@@ -20,17 +20,19 @@ by coordinate directions i < j has sectional curvature
 
     K_ij = -sum_l R^l_ijj g_li / (g_ii g_jj - g_ij^2)
 
-with the square root of the denominator in ``paper_sqrt`` mode (see
-:func:`sectional_at`).  The sign makes the round sphere positive: the
-metric diag(1, sin^2 x1) yields K_12 = +1 and diag(1, exp(2 x1)) yields
--1.
+with the square root of the denominator in ``paper_sqrt`` mode.  The sign
+makes the round sphere positive: the metric diag(1, sin^2 x1) yields
+K_12 = +1 and diag(1, exp(2 x1)) yields -1.  :func:`sectional_at` returns
+(values, floored): where a plane's squared area is at most PLANE_FLOOR it
+is floored to PLANE_FLOOR and the node is marked in ``floored``, never
+raised on.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DegeneratePlaneError
+from .errors import DegenerateMetricError
 
 MODES = ("standard", "paper_sqrt")
 
@@ -162,22 +164,10 @@ def sectional_at(g, riem, mode: str = "standard"):
     ``standard`` mode and sqrt(D) in ``paper_sqrt`` mode.  Both modes share
     the same zero set and agree whenever the metric is the identity at the
     evaluation point.  The sign is normalized so spheres are positive.
-    Raises DegeneratePlaneError if any plane has D <= PLANE_FLOOR.
-    """
-    out, floored = _sectional_floored(g, riem, mode)
-    if np.any(floored):
-        raise DegeneratePlaneError(
-            f"{int(np.count_nonzero(floored))} node(s) have a coordinate plane "
-            "with non-positive squared area"
-        )
-    return out
 
-
-def _sectional_floored(g, riem, mode):
-    """Sectional curvatures with degenerate denominators floored.
-
-    Returns (values, mask of nodes whose denominator was floored).  The
-    field pipelines record such nodes instead of raising.
+    Returns (values, floored): ``values`` has shape (..., n(n-1)/2) and
+    ``floored`` (...) marks the nodes where some plane has D <= PLANE_FLOOR;
+    there D is replaced by PLANE_FLOOR, never raised on.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -208,8 +198,9 @@ class TensorGrid:
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
         for a in axes:
-            if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0):
-                raise ValueError("each axis must be a strictly increasing 1-D array")
+            if (a.ndim != 1 or a.size < 2 or not np.all(np.isfinite(a))
+                    or np.any(np.diff(a) <= 0)):
+                raise ValueError("each axis must be a strictly increasing, finite 1-D array")
         object.__setattr__(self, "axes", axes)
 
     @property

@@ -78,8 +78,8 @@ def test_criterion_01_circle_reconstruction():
 def test_criterion_02_flat_space_zero():
     start = time.perf_counter()
     # constant metric: exactly zero at every node
-    k = sectional_at(np.eye(2), np.zeros((2, 2, 2, 2)))
-    assert np.array_equal(k, [0.0])
+    k, floored = sectional_at(np.eye(2), np.zeros((2, 2, 2, 2)))
+    assert np.array_equal(k, [0.0]) and not floored
     # identity round trip under both estimators on a 32x32 grid
     grid = unit_grid(2, 32)
     pts = grid.points()

@@ -266,7 +266,8 @@ class TestSuite:
             "--resolution", "16", "--out-dir", tmp_path / "allfail",
         ]) == 1
 
-    @pytest.mark.parametrize("flag,value", [("--limit", "-59"), ("--repeats", "0")])
+    @pytest.mark.parametrize("flag,value", [("--limit", "-59"), ("--repeats", "0"),
+                                            ("--workers", "0"), ("--workers", "-2")])
     def test_out_of_range_counts_rejected_before_any_work(self, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "bad"
         assert run([
@@ -326,6 +327,16 @@ X = np.loadtxt(src, delimiter=",", skiprows=1)
 header = ",".join(f"y{i+1}" for i in range(int(k)))
 np.savetxt(dst, X[:, :int(k)], delimiter=",", header=header, comments="", fmt="%.17g")
 """
+
+
+# hyperparameter spaces that cannot be sampled, and the name the error gives
+# (None: the file's path)
+MALFORMED_SPACES = [
+    pytest.param({"max_iter": {"low": 5}}, "'max_iter'", id="no-high"),
+    pytest.param({"max_iter": {"type": "int", "high": 5}}, "'max_iter'", id="int-no-low"),
+    pytest.param({"max_iter": {"values": []}}, "'max_iter'", id="empty-values"),
+    pytest.param([{"max_iter": {"low": 1, "high": 5}}], None, id="top-level-list"),
+]
 
 
 class TestTune:
@@ -407,6 +418,39 @@ class TestTune:
         with pytest.raises(ValueError, match="objective"):
             tune_hyperparameters("pca", {}, 1, descriptor, EstimationConfig(),
                                  objective="curvatur")
+
+    @pytest.mark.parametrize("space,named", MALFORMED_SPACES)
+    def test_malformed_space_is_reported(self, tmp_path, capsys, space, named):
+        inst, _ = generate_flat(tmp_path)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        assert run([
+            "tune", "--method", "pca", "--space", path, "--budget", "1",
+            "--instance", inst, "--out", tmp_path / "tuned.json",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvebench tune: ")
+        assert (named or str(path)) in err
+
+    def test_space_that_is_not_an_object_rejected(self, tmp_path):
+        descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])
+        with pytest.raises(ValueError, match="JSON object"):
+            tune_hyperparameters("pca", [{"low": 1, "high": 5}], 1, descriptor,
+                                 EstimationConfig())
+
+    @pytest.mark.parametrize("space,named", MALFORMED_SPACES)
+    def test_malformed_suite_space_is_reported(self, tmp_path, capsys, space, named):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"pca": space} if named else space))
+        assert run([
+            "suite", "--methods", "pca", "--resolution", "16", "--limit", "1",
+            "--repeats", "1", "--tune-space", path, "--tune-budget", "1",
+            "--out-dir", tmp_path / "out",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvebench suite: ")
+        assert (named or str(path)) in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_kn_rejected_before_any_reduction(self, tmp_path, monkeypatch):
         inst, _ = generate_flat(tmp_path)

@@ -136,12 +136,6 @@ class TestFitSpline:
         with pytest.raises(ValueError, match="4 nodes"):
             fit_spline(TensorGrid((axis, axis)), np.zeros((9, 1)))
 
-    def test_derivative_order_capped(self):
-        grid = unit_grid(2, 8)
-        spline = fit_spline(grid, np.zeros((64, 1)))
-        with pytest.raises(ValueError, match="nu"):
-            spline(np.array([[0.5, 0.5]]), nu=(4, 0))
-
 
 class TestKnnMetric:
     def test_diagonal_linear_map(self):
@@ -521,6 +515,22 @@ class TestRoundTripScore:
             MetricField.from_matrices(grid, mats), EstimationConfig()
         )
         assert np.max(np.abs(fld.values)) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["standard", "paper_sqrt"])
+    def test_singular_node_is_listed_not_raised(self, mode):
+        # a metric of rank 1 at one interior node: the node is regularized
+        # before inversion and its plane area floored, and both are recorded
+        grid = unit_grid(2, 12)
+        mats = np.tile(np.eye(2), (grid.num_points, 1, 1))
+        node = 5 * 12 + 6
+        mats[node] = np.diag([1.0, 0.0])
+        fld = curvature_from_metric_field(
+            MetricField.from_matrices(grid, mats), EstimationConfig(mode=mode)
+        )
+        assert fld.diagnostics["degenerate_nodes"] == [node]
+        assert fld.diagnostics["floored_plane_nodes"] == [node]
+        assert fld.diagnostics["regularization"] > 0.0
+        assert np.all(np.isfinite(fld.values))
 
 
 class TestEstimationConfig:
