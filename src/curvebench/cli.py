@@ -5,6 +5,7 @@ Every run is a pure function of the master seed and the flags; the
 """
 
 import argparse
+import math
 import multiprocessing
 import os
 import sys
@@ -395,6 +396,21 @@ def _read_space(path) -> dict:
     return space
 
 
+def _bounds(name: str, decl: dict) -> tuple:
+    """The finite numeric (low, high), low <= high, of a range hyperparameter."""
+    bounds = []
+    for key in ("low", "high"):
+        value = decl[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ValueError(f"hyperparameter {name!r}: {key!r} must be a finite number, "
+                             f"got {value!r}")
+        bounds.append(value)
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"hyperparameter {name!r}: low {bounds[0]!r} > high {bounds[1]!r}")
+    return tuple(bounds)
+
+
 def _sample_space(space: dict, rng: np.random.Generator) -> dict:
     if not isinstance(space, dict):
         raise ValueError("hyperparameter space must be a JSON object")
@@ -402,16 +418,24 @@ def _sample_space(space: dict, rng: np.random.Generator) -> dict:
     for name, decl in sorted(space.items()):
         if isinstance(decl, dict) and decl.get("values"):
             choices = decl["values"]
+            if not isinstance(choices, list):
+                raise ValueError(f"hyperparameter {name!r}: 'values' must be a list, "
+                                 f"got {choices!r}")
             out[name] = choices[int(rng.integers(len(choices)))]
         elif not (isinstance(decl, dict) and "low" in decl and "high" in decl):
             raise ValueError(
                 f"hyperparameter {name!r} must declare non-empty 'values' "
                 "or both 'low' and 'high'"
             )
-        elif decl.get("type") == "int":
-            out[name] = int(rng.integers(int(decl["low"]), int(decl["high"]) + 1))
         else:
-            out[name] = float(rng.uniform(float(decl["low"]), float(decl["high"])))
+            low, high = _bounds(name, decl)
+            try:
+                if decl.get("type") == "int":
+                    out[name] = int(rng.integers(int(low), int(high) + 1))
+                else:
+                    out[name] = float(rng.uniform(float(low), float(high)))
+            except (ValueError, OverflowError) as exc:  # a range too wide to draw from
+                raise ValueError(f"hyperparameter {name!r}: {exc}") from None
     return out
 
 

@@ -12,6 +12,12 @@ Two routes, selected by :class:`EstimationConfig.method`:
     least-squares fit over K-nearest-neighbor difference vectors, then the
     metric components themselves are splined so only two derivative orders
     of the (noisier) spline are ever taken.
+
+Both routes take one (N, m) sample set or an (S, N, m) stack of sets on the
+same grid, and return one field or a stack of S fields.  A stack shares each
+grid-only step (neighbor gather, least-squares design, spline knots and
+basis) and runs the curvature chain once over all S * N nodes; every set's
+numbers equal a one-set call's bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -107,13 +113,14 @@ class EstimationConfig:
 
 
 def rescale_to_unit_box(points) -> np.ndarray:
-    """Affine per-coordinate rescale onto the unit bounding box.
+    """Affine per-coordinate rescale of (N, m) points, or of each set of an
+    (S, N, m) stack, onto the unit bounding box.
 
     Collapsed coordinates (zero extent) are only re-centered.
     """
     points = np.asarray(points, dtype=float)
-    lo = points.min(axis=0)
-    extent = points.max(axis=0) - lo
+    lo = points.min(axis=-2, keepdims=True)
+    extent = points.max(axis=-2, keepdims=True) - lo
     extent = np.where(extent > 0, extent, 1.0)
     return (points - lo) / extent
 
@@ -131,10 +138,16 @@ def _raise_lstsq_error(err, flag):
 
 def _solve_knn(v, w):
     """The stacked least-squares solve of :func:`fit_knn_metrics` on neighbor
-    differences ``v`` (B, K, n) and ``w`` (B, K, m), rows already in the
-    canonical order."""
+    differences ``v`` (B, K, n) and ``w`` ([S,] B, K, m), rows already in the
+    canonical order.
+
+    The design depends on ``v`` only and is built once; the gufunc
+    broadcasts it over the S sets, so each node of each set is still its own
+    single right-hand-side solve.  Returns (mats ([S,] B, n, n), failed
+    ([S,] B) bool).
+    """
     num, k, n = v.shape
-    targets = (w @ w.swapaxes(-1, -2)).reshape(num, k * k, 1)
+    targets = (w @ w.swapaxes(-1, -2)).reshape(w.shape[:-2] + (k * k, 1))
     pairs = sym_indices(n)
     design = np.empty((num, k * k, len(pairs)))
     for col, (a, b) in enumerate(pairs):
@@ -148,8 +161,8 @@ def _solve_knn(v, w):
         solution, _, rank, _ = _umath_linalg.lstsq(
             design, targets, rcond, signature="ddd->ddid"
         )
-    mats = unpack_symmetric(solution[..., 0], n)
-    failed = np.nonzero(rank < len(pairs))[0]
+    mats = unpack_symmetric(solution.reshape(-1, len(pairs)), n).reshape(rank.shape + (n, n))
+    failed = rank < len(pairs)
     mats[failed] = EIG_FLOOR * np.eye(n)
     return mats, failed
 
@@ -203,7 +216,8 @@ def fit_knn_metrics(x, neighbors, image_x, image_neighbors):
     order = _canonical_order(neighbors, image_neighbors)[..., None]
     v = np.take_along_axis(neighbors, order, axis=1) - x[:, None, :]
     w = np.take_along_axis(image_neighbors, order, axis=1) - image_x[:, None, :]
-    return _solve_knn(v, w)
+    mats, failed = _solve_knn(v, w)
+    return mats, np.nonzero(failed)[0]
 
 
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
@@ -242,63 +256,87 @@ def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
     return mats[0]
 
 
+def _node_list(mask) -> list:
+    """Flat indices of the set entries of a ([S,] N) node mask: node i of set
+    s is s * N + i."""
+    return [int(i) for i in np.flatnonzero(mask)]
+
+
 def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
-    """KNN least-squares metric at every grid node.
+    """KNN least-squares metric at every grid node, for one (N, m) sample
+    set or for each set of an (S, N, m) stack.
 
     The neighbors come from :func:`knn_stencil`, so each (grid, k) is
     searched once per process; the nodes are fitted :data:`KNN_CHUNK` at a
-    time.  Returns (MetricField, diagnostics).  Eigenvalues below the
-    inversion floor are clamped so curvature can proceed; clamped and failed
-    nodes are listed in the diagnostics.
+    time, every set of a stack in the same call.  Returns (MetricField,
+    diagnostics), the field stacked as the samples are.  Eigenvalues below
+    the inversion floor are clamped so curvature can proceed; clamped and
+    failed nodes are listed in the diagnostics, node i of set s as s * N + i.
     """
     f_samples = np.asarray(f_samples, dtype=float)
     pts = grid.points()
-    n = grid.n
-    if f_samples.shape[0] != pts.shape[0]:
+    num, n = pts.shape
+    if f_samples.ndim not in (2, 3) or f_samples.shape[-2] != num:
         raise ValueError("f_samples rows must align with the grid rows")
     if k_neighbors <= n:
         raise ValueError(f"k_neighbors must exceed n={n}")
     if not np.all(np.isfinite(f_samples)):
         raise ValueError("knn metric fit inputs must be finite")
 
+    sets = f_samples.reshape((-1,) + f_samples.shape[-2:])
     stencil = knn_stencil(grid, k_neighbors)
-    mats = np.empty((pts.shape[0], n, n))
-    failed = []
-    for start in range(0, pts.shape[0], KNN_CHUNK):
+    mats = np.empty((len(sets), num, n, n))
+    failed = np.empty((len(sets), num), dtype=bool)
+    for start in range(0, num, KNN_CHUNK):
         rows = slice(start, start + KNN_CHUNK)
         idx = stencil[rows]
-        mats[rows], bad = _solve_knn(pts[idx] - pts[rows, None, :],
-                                     f_samples[idx] - f_samples[rows, None, :])
-        failed.extend(start + int(i) for i in bad)
+        mats[:, rows], failed[:, rows] = _solve_knn(pts[idx] - pts[rows, None, :],
+                                                    sets[:, idx] - sets[:, rows, None, :])
 
     w, vecs = np.linalg.eigh(mats)
-    clamped = np.nonzero(np.any(w < EIG_FLOOR, axis=1))[0]
-    if clamped.size:
-        w = np.maximum(w, EIG_FLOOR)
-        mats = np.einsum("nij,nj,nkj->nik", vecs, w, vecs)
+    clamped = np.any(w < EIG_FLOOR, axis=-1)
+    for s in np.nonzero(np.any(clamped, axis=1))[0]:
+        # a clamp re-forms every node of its set
+        mats[s] = np.einsum("nij,nj,nkj->nik", vecs[s], np.maximum(w[s], EIG_FLOOR), vecs[s])
     diagnostics = {
-        "failed_nodes": failed,
-        "clamped_nodes": [int(i) for i in clamped],
+        "failed_nodes": _node_list(failed),
+        "clamped_nodes": _node_list(clamped),
     }
+    mats = mats.reshape(f_samples.shape[:-2] + mats.shape[1:])
     return MetricField.from_matrices(grid, mats), diagnostics
 
 
-def _sectional_from_metric_data(grid, g, dg, d2g, mode):
-    """Shared tail of both estimators: metric data -> sectional field."""
+def _side_by_side(sets) -> np.ndarray:
+    """(S, N, c) sets -> (N, S * c) spline samples, set s in columns s*c..s*c+c-1."""
+    return np.moveaxis(sets, 0, 1).reshape(sets.shape[1], -1)
+
+
+def _set_major(derivs, num_sets: int) -> np.ndarray:
+    """(Q, S * c, ...) spline derivatives of side-by-side sets -> (S * Q, c, ...)."""
+    q, width = derivs.shape[:2]
+    split = derivs.reshape((q, num_sets, width // num_sets) + derivs.shape[2:])
+    return np.moveaxis(split, 1, 0).reshape((num_sets * q,) + split.shape[2:])
+
+
+def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
+    """Shared tail of both estimators: metric data of S * N nodes, set-major,
+    -> sectional field shaped ``sets_shape`` + (N, pairs)."""
     lam = regularization_for(g)
-    degenerate = [int(i) for i in np.nonzero(lam > 0)[0]]
     riem = riemann_at(*christoffel(g, dg, d2g, lam))
     values, floored = sectional_at(g, riem, mode)
+    grid_shape = sets_shape + (grid.num_points,)
     diagnostics = {
-        "degenerate_nodes": degenerate,
-        "floored_plane_nodes": [int(i) for i in np.nonzero(floored)[0]],
-        "regularization": float(lam.max()) if degenerate else 0.0,
+        "degenerate_nodes": _node_list(lam > 0),
+        "floored_plane_nodes": _node_list(floored),
+        # the largest weight of each set: a float for one set
+        "regularization": lam.reshape(grid_shape).max(axis=-1).tolist(),
     }
-    return SectionalCurvatureField(grid=grid, values=values, mode=mode, diagnostics=diagnostics)
+    return SectionalCurvatureField(grid=grid, values=values.reshape(grid_shape + (-1,)),
+                                   mode=mode, diagnostics=diagnostics)
 
 
 def _prepare_samples(f_samples, config: EstimationConfig, method: str):
-    """Check the method; return the (N, c), optionally rescaled, samples."""
+    """Check the method; return the ([S,] N, c), optionally rescaled, samples."""
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     f_samples = np.asarray(f_samples, dtype=float)
@@ -314,14 +352,17 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
 
     The pullback metric g = J^T J and its first two derivatives are formed
     from spline derivatives of f (orders 1..3) by the product rule, then
-    fed through the Christoffel/Riemann/sectional chain at every node.
+    fed through the Christoffel/Riemann/sectional chain at every node.  The
+    sets of an (S, N, m) stack share one spline fit and its basis.
     """
     f_samples = _prepare_samples(f_samples, config, "function_spline")
-    spline = fit_spline(grid, f_samples)
+    sets = f_samples.reshape((-1,) + f_samples.shape[-2:])
+    spline = fit_spline(grid, _side_by_side(sets))
     pts = grid.points()
 
     # derivative tensors of f: d1[q, c, i], d2[q, c, i, j], d3[q, c, i, j, l]
-    d1, d2, d3 = (_spline_derivatives(spline, pts, order) for order in (1, 2, 3))
+    d1, d2, d3 = (_set_major(_spline_derivatives(spline, pts, order), len(sets))
+                  for order in (1, 2, 3))
     g = np.einsum("qci,qcj->qij", d1, d1)
     dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
     d2g = (
@@ -330,23 +371,27 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
         + np.einsum("qcil,qcjk->qijkl", d2, d2)
         + np.einsum("qci,qcjkl->qijkl", d1, d3)
     )
-    return _sectional_from_metric_data(grid, g, dg, d2g, config.mode)
+    return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, config.mode)
 
 
 def curvature_from_metric_field(metric: MetricField, config: EstimationConfig):
     """Sectional curvature of a sampled metric, derivatives from splines.
 
     Each of the n(n+1)/2 stored components is splined over the grid; the
-    metric and its first two derivatives are then read off the splines.
+    metric and its first two derivatives are then read off the splines.  The
+    metrics of a stacked field share one spline fit and its basis.
     """
     grid = metric.grid
-    spline = fit_spline(grid, metric.packed)
+    sets = metric.packed.reshape((-1,) + metric.packed.shape[-2:])
+    spline = fit_spline(grid, _side_by_side(sets))
     pts = grid.points()
     g, dg, d2g = (
-        unpack_symmetric(_spline_derivatives(spline, pts, order), grid.n)
+        unpack_symmetric(_set_major(_spline_derivatives(spline, pts, order), len(sets)),
+                         grid.n)
         for order in (0, 1, 2)
     )
-    return _sectional_from_metric_data(grid, g, dg, d2g, config.mode)
+    return _sectional_from_metric_data(grid, metric.packed.shape[:-2], g, dg, d2g,
+                                       config.mode)
 
 
 def estimate_curvature_via_metric(grid, f_samples, config: EstimationConfig):
@@ -366,6 +411,17 @@ def estimate_curvature(grid, f_samples, config: EstimationConfig):
     return estimate_curvature_via_metric(grid, f_samples, config)
 
 
+def _one_set(fld: SectionalCurvatureField, s: int) -> SectionalCurvatureField:
+    """Set ``s`` of a stacked field, its node lists back on the grid."""
+    num = fld.grid.num_points
+    lo = s * num
+    diagnostics = {
+        key: val[s] if key == "regularization" else [i - lo for i in val if lo <= i < lo + num]
+        for key, val in fld.diagnostics.items()
+    }
+    return replace(fld, values=fld.values[s], diagnostics=diagnostics)
+
+
 @dataclass(frozen=True)
 class RoundTripScore:
     """Curvature score of one reduced point set."""
@@ -379,14 +435,16 @@ def roundtrip_score(grid: TensorGrid, reduced_points, config: EstimationConfig) 
     """Curvature score of a round trip, at both stored scales.
 
     ``score`` honors ``config.rescale_output``; ``score_raw`` is always the
-    raw-coordinate score.  Both run the same estimator.
+    raw-coordinate score.  With rescaling on, the rescaled and the raw
+    points go through the estimator as one two-set stack; ``field`` is the
+    field of ``score``.
     """
-    fld = estimate_curvature(grid, reduced_points, config)
-    score = l2_curvature_score(fld, trim=config.trim)
-    if config.rescale_output:
-        raw_cfg = replace(config, rescale_output=False)
-        raw_fld = estimate_curvature(grid, reduced_points, raw_cfg)
-        score_raw = l2_curvature_score(raw_fld, trim=config.trim)
-    else:
-        score_raw = score
-    return RoundTripScore(score=float(score), score_raw=float(score_raw), field=fld)
+    points = np.asarray(reduced_points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    sets = np.stack([rescale_to_unit_box(points), points]) if config.rescale_output \
+        else points[None]
+    stacked = estimate_curvature(grid, sets, replace(config, rescale_output=False))
+    fields = [_one_set(stacked, s) for s in range(len(sets))]
+    scores = [l2_curvature_score(fld, trim=config.trim) for fld in fields]
+    return RoundTripScore(score=float(scores[0]), score_raw=float(scores[-1]), field=fields[0])

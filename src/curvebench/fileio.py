@@ -71,6 +71,14 @@ def read_instance_json(path) -> InstanceDescriptor:
     missing = [key for key in INSTANCE_KEYS if key not in obj]
     if missing:
         raise ValueError(f"{path}: instance file missing keys {missing}")
+    if not (isinstance(obj["families"], list)
+            and all(isinstance(f, str) for f in obj["families"])):
+        raise ValueError(f"{path}: 'families' must be a list of strings, "
+                         f"got {obj['families']!r}")
+    if not (isinstance(obj["thetas"], list)
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                    for t in obj["thetas"])):
+        raise ValueError(f"{path}: 'thetas' must be a list of numbers, got {obj['thetas']!r}")
     return InstanceDescriptor(
         n=int(obj["n"]),
         m=int(obj["m"]),

@@ -91,13 +91,18 @@ def regularization_for(g):
     return lam if lam.ndim else float(lam)
 
 
-def _metric_bracket(dg):
-    # term[m, i, j] = d_j g_mi + d_i g_mj - d_m g_ij, from dg[i, j, k] = d_k g_ij
-    nb = dg.ndim - 3
-    a = dg.transpose(*range(nb), nb, nb + 2, nb + 1)  # a[m,i,j] = dg[m,j,i] = d_i g_mj
-    b = dg                                            # b[m,i,j] = dg[m,i,j] = d_j g_mi
-    c = dg.transpose(*range(nb), nb + 2, nb, nb + 1)  # c[m,i,j] = dg[i,j,m] = d_m g_ij
-    return b + a - c
+def _batch_last(a, core: int) -> np.ndarray:
+    """Contiguous copy of ``a`` with its leading batch axes moved behind its
+    ``core`` trailing ones.  Elementwise steps on tensors of a few components
+    then run over the whole batch in one inner loop."""
+    nb = a.ndim - core
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(nb)), tuple(range(core, a.ndim))))
+
+
+def _batch_first(a, core: int) -> np.ndarray:
+    """Inverse of :func:`_batch_last`."""
+    nb = a.ndim - core
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(core, a.ndim)), tuple(range(nb))))
 
 
 def christoffel(g, dg, d2g, lam=0.0):
@@ -112,28 +117,38 @@ def christoffel(g, dg, d2g, lam=0.0):
     dg = np.asarray(dg, dtype=float)
     d2g = np.asarray(d2g, dtype=float)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), g.shape[:-2])
+    n = g.shape[-1]
     try:
-        ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(g.shape[-1]))
+        ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             f"metric not invertible even after regularization lambda={lam}"
         ) from exc
-    term = _metric_bracket(dg)
-    gamma = 0.5 * np.einsum("...mk,...mij->...kij", ginv, term)
-    # d_l g^mk = -g^ma (d_l g_ab) g^bk
-    dginv = -np.einsum("...ma,...abl,...bk->...mkl", ginv, dg, ginv)
+    # Below, index expressions name the component axes only; batch axes trail.
+    ginv, dg, d2g = _batch_last(ginv, 2), _batch_last(dg, 3), _batch_last(d2g, 4)
+    # term[m,i,j] = d_j g_mi + d_i g_mj - d_m g_ij, from dg[i,j,k] = d_k g_ij
+    term = dg + dg.swapaxes(1, 2) - dg.transpose(2, 0, 1, *range(3, dg.ndim))
     # dterm[m,i,j,l] = d_l (d_j g_mi + d_i g_mj - d_m g_ij), from
-    # d2g[i,j,k,l] = d_k d_l g_ij:
-    nb = d2g.ndim - 4
-    t_ji = d2g                                            # [m,i,j,l] = d_l d_j g_mi
-    t_ij = d2g.swapaxes(-3, -2)                           # [m,i,j,l] = d2g[m,j,i,l]
-    t_m = d2g.transpose(*range(nb), nb + 2, nb, nb + 1, nb + 3)  # = d2g[i,j,m,l]
-    dterm = t_ji + t_ij - t_m
-    dgamma = 0.5 * (
-        np.einsum("...mkl,...mij->...kijl", dginv, term)
-        + np.einsum("...mk,...mijl->...kijl", ginv, dterm)
-    )
-    return gamma, dgamma
+    # d2g[i,j,k,l] = d_k d_l g_ij
+    dterm = d2g + d2g.swapaxes(1, 2) - d2g.transpose(2, 0, 1, 3, *range(4, d2g.ndim))
+    # Each contraction adds its terms one at a time from 0.0, summation
+    # indices rising (a before b): the order np.einsum sums in, so the
+    # results keep its bits (tests hold the einsum form as the reference).
+    # dginv[m,k,l] = d_l g^mk = -sum_ab g^ma (d_l g_ab) g^bk
+    dginv = 0.0
+    for a in range(n):
+        for b in range(n):
+            dginv = dginv + (ginv[:, a, None, None] * dg[a, b, None, None, :]
+                             * ginv[b, None, :, None])
+    dginv = -dginv
+    # gamma[k,i,j] = sum_m g^mk term[m,i,j] / 2, and its derivative
+    # dgamma[k,i,j,l] = sum_m (d_l g^mk term[m,i,j] + g^mk dterm[m,i,j,l]) / 2
+    gamma = dgamma_a = dgamma_b = 0.0
+    for m in range(n):
+        gamma = gamma + ginv[m, :, None, None] * term[m, None, :, :]
+        dgamma_a = dgamma_a + dginv[m, :, None, None, :] * term[m, None, :, :, None]
+        dgamma_b = dgamma_b + ginv[m, :, None, None, None] * dterm[m, None, :, :, :]
+    return _batch_first(0.5 * gamma, 3), _batch_first(0.5 * (dgamma_a + dgamma_b), 4)
 
 
 def riemann_at(gamma, dgamma):
@@ -146,14 +161,17 @@ def riemann_at(gamma, dgamma):
     dgamma = np.asarray(dgamma, dtype=float)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(dgamma))):
         raise ValueError("Christoffel data must be finite")
-    nb = gamma.ndim - 3
-    # d_j Gamma^l_ik : dgamma[l, i, k, j] -> out[l, i, j, k]
-    t1 = dgamma.transpose(*range(nb), nb, nb + 1, nb + 3, nb + 2)
-    # d_i Gamma^l_jk : dgamma[l, j, k, i] -> out[l, i, j, k]
-    t2 = dgamma.transpose(*range(nb), nb, nb + 3, nb + 1, nb + 2)
-    q1 = np.einsum("...pik,...ljp->...lijk", gamma, gamma)
-    q2 = np.einsum("...pjk,...lip->...lijk", gamma, gamma)
-    return t1 - t2 + q1 - q2
+    # component axes first, batch axes trailing, as in christoffel
+    gamma, dgamma = _batch_last(gamma, 3), _batch_last(dgamma, 4)
+    rest = range(4, dgamma.ndim)
+    t1 = dgamma.transpose(0, 1, 3, 2, *rest)  # d_j Gamma^l_ik: dgamma[l,i,k,j] -> [l,i,j,k]
+    t2 = dgamma.transpose(0, 3, 1, 2, *rest)  # d_i Gamma^l_jk: dgamma[l,j,k,i] -> [l,i,j,k]
+    q1 = q2 = 0.0
+    for p in range(gamma.shape[0]):
+        # q1[l,i,j,k] += Gamma^p_ik Gamma^l_jp,  q2[l,i,j,k] += Gamma^p_jk Gamma^l_ip
+        q1 = q1 + gamma[p, None, :, None, :] * gamma[:, None, :, p, None]
+        q2 = q2 + gamma[p, None, None, :, :] * gamma[:, :, p, None, None]
+    return _batch_first(t1 - t2 + q1 - q2, 4)
 
 
 def sectional_at(g, riem, mode: str = "standard"):
@@ -233,18 +251,20 @@ def unit_grid(n: int, resolution: int) -> TensorGrid:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Symmetric metric matrices on a tensor grid, upper triangle stored."""
+    """Symmetric metric matrices on a tensor grid, upper triangle stored.
+
+    ``packed`` is (N, n(n+1)/2), or (S, N, n(n+1)/2) for a stack of S
+    metrics on the same grid.
+    """
 
     grid: TensorGrid
-    packed: np.ndarray  # (N, n(n+1)/2) upper-triangle components
+    packed: np.ndarray
 
     def __post_init__(self):
         packed = np.asarray(self.packed, dtype=float)
-        expect = len(sym_indices(self.grid.n))
-        if packed.ndim != 2 or packed.shape != (self.grid.num_points, expect):
-            raise ValueError(
-                f"packed metric must have shape ({self.grid.num_points}, {expect})"
-            )
+        expect = (self.grid.num_points, len(sym_indices(self.grid.n)))
+        if packed.ndim not in (2, 3) or packed.shape[-2:] != expect:
+            raise ValueError(f"packed metric must have shape ([S,] {expect[0]}, {expect[1]})")
         object.__setattr__(self, "packed", packed)
 
     @property
@@ -252,41 +272,49 @@ class MetricField:
         return self.grid.n
 
     def matrices(self) -> np.ndarray:
-        """Full symmetric (N, n, n) copy of the stored upper triangles."""
-        return unpack_symmetric(self.packed, self.n)
+        """Full symmetric ([S,] N, n, n) copy of the stored upper triangles."""
+        packed = self.packed
+        flat = unpack_symmetric(packed.reshape(-1, packed.shape[-1]), self.n)
+        return flat.reshape(packed.shape[:-1] + (self.n, self.n))
 
     @classmethod
     def from_matrices(cls, grid: TensorGrid, mats):
+        """Field of ([S,] N, n, n) matrices, symmetrized."""
         mats = np.asarray(mats, dtype=float)
         n = grid.n
-        if mats.shape != (grid.num_points, n, n):
-            raise ValueError("metric array must have shape (N, n, n)")
+        if mats.ndim not in (3, 4) or mats.shape[-3:] != (grid.num_points, n, n):
+            raise ValueError("metric array must have shape ([S,] N, n, n)")
         sym = 0.5 * (mats + mats.swapaxes(-1, -2))
-        packed = np.stack([sym[:, i, j] for (i, j) in sym_indices(n)], axis=1)
+        packed = np.stack([sym[..., i, j] for (i, j) in sym_indices(n)], axis=-1)
         return cls(grid=grid, packed=packed)
 
 
 @dataclass(frozen=True)
 class SectionalCurvatureField:
-    """Sectional curvature of every coordinate pair at every grid node."""
+    """Sectional curvature of every coordinate pair at every grid node.
+
+    ``values`` is (N, n(n-1)/2), or (S, N, n(n-1)/2) for a stack of S
+    fields on the same grid; node lists in ``diagnostics`` then index the
+    stack set-major, node i of set s as s * N + i.
+    """
 
     grid: TensorGrid
-    values: np.ndarray  # (N, n(n-1)/2)
+    values: np.ndarray
     mode: str = "standard"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        expect = len(pair_indices(self.grid.n))
-        if values.shape != (self.grid.num_points, expect):
+        expect = (self.grid.num_points, len(pair_indices(self.grid.n)))
+        if values.ndim not in (2, 3) or values.shape[-2:] != expect:
             raise ValueError(
-                f"sectional values must have shape ({self.grid.num_points}, {expect})"
+                f"sectional values must have shape ([S,] {expect[0]}, {expect[1]})"
             )
         object.__setattr__(self, "values", values)
 
     def as_grid(self) -> np.ndarray:
-        """Values reshaped to (*grid.shape, n_pairs)."""
-        return self.values.reshape(*self.grid.shape, -1)
+        """Values reshaped to ([S,] *grid.shape, n_pairs)."""
+        return self.values.reshape(self.values.shape[:-2] + self.grid.shape + (-1,))
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -316,6 +344,8 @@ def l2_curvature_score(fld: SectionalCurvatureField, trim: int = 2) -> float:
     """
     trim = int(trim)
     grid = fld.grid
+    if fld.values.ndim != 2:
+        raise ValueError("l2_curvature_score takes a one-set field")
     check_trim(grid.shape, trim)
     kept = [a[trim:-trim] for a in grid.axes]
     kgrid = fld.as_grid()[tuple(slice(trim, -trim) for _ in grid.axes)]

@@ -13,6 +13,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -184,12 +185,28 @@ def check_kn(npts: int, kn: int) -> None:
         raise ValueError(f"kn must be in [1, {npts - 1}], got {kn}")
 
 
+# high-dimensional (N, kn) neighbor tables kept per process by npr, N*kn*8
+# bytes each plus the key's copy of the dataset; a suite worker's pca, tsvd
+# and mds jobs on one instance, and every draw of a tune, share one dataset
+NPR_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=NPR_CACHE_SIZE)
+def _cached_high_neighbors(data: bytes, shape: tuple, kn: int) -> np.ndarray:
+    pts = np.frombuffer(data).reshape(shape)
+    table = nearest_neighbors(pts, kn, key=pdist_squared_distance)
+    table.flags.writeable = False
+    return table
+
+
 def npr(x_high, y_low, kn: int = 10) -> float:
     """Neighborhood preservation ratio in [0, 1].
 
     Mean over points of the fraction of each point's ``kn`` nearest
     neighbors (Euclidean, exact ties resolved by lowest row index) that are
-    still among its ``kn`` nearest neighbors after reduction.
+    still among its ``kn`` nearest neighbors after reduction.  The neighbor
+    table of ``x_high`` is cached per process, keyed by its bytes, shape and
+    ``kn``, so scoring several embeddings of one dataset searches it once.
     """
     x_high = np.asarray(x_high, dtype=float)
     y_low = np.asarray(y_low, dtype=float)
@@ -198,9 +215,8 @@ def npr(x_high, y_low, kn: int = 10) -> float:
     check_kn(x_high.shape[0], kn)
     if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(y_low))):
         raise ValueError("NPR inputs must be finite")
-    high, low = (
-        nearest_neighbors(pts, kn, key=pdist_squared_distance) for pts in (x_high, y_low)
-    )
+    high = _cached_high_neighbors(x_high.tobytes(), x_high.shape, int(kn))
+    low = nearest_neighbors(y_low, kn, key=pdist_squared_distance)
     # A row of either table holds distinct indices, so after merging and
     # sorting, every shared neighbor is one pair of equal adjacent entries.
     merged = np.sort(np.concatenate([high, low], axis=1), axis=1)

@@ -339,7 +339,33 @@ MALFORMED_SPACES = [
 ]
 
 
+BAD_DECLARATIONS = [
+    pytest.param({"low": float("nan"), "high": 2}, "'low' must be a finite number", id="nan-low"),
+    pytest.param({"low": 1, "high": float("inf")}, "'high' must be a finite number",
+                 id="inf-high"),
+    pytest.param({"type": "int", "low": 5, "high": 2}, "low 5 > high 2", id="int-low-above-high"),
+    pytest.param({"low": 5.5, "high": 2.0}, "low 5.5 > high 2.0", id="float-low-above-high"),
+    pytest.param({"low": "a", "high": 2}, "'low' must be a finite number", id="string-low"),
+    pytest.param({"low": -1e308, "high": 1e308}, "range exceeds", id="range-overflows"),
+    pytest.param({"values": 5}, "'values' must be a list", id="values-not-a-list"),
+    pytest.param({"values": "abc"}, "'values' must be a list", id="values-a-string"),
+]
+
+
 class TestTune:
+    @pytest.mark.parametrize("decl,message", BAD_DECLARATIONS)
+    def test_bad_declaration_is_reported(self, tmp_path, capsys, decl, message):
+        inst, _ = generate_flat(tmp_path)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"max_iter": decl}))  # NaN and Infinity literals
+        assert run([
+            "tune", "--method", "pca", "--space", path, "--budget", "1",
+            "--instance", inst, "--out", tmp_path / "tuned.json",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvebench tune: hyperparameter 'max_iter': ")
+        assert message in err
+
     def make_warp_method(self, tmp_path):
         stub = tmp_path / "warp.py"
         stub.write_text("#!/usr/bin/env python3\n" + textwrap.dedent(WARP_STUB))

@@ -1,5 +1,7 @@
 """Spline fields, KNN metric fitting, and the two curvature estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from curvebench import estimation
 from curvebench.errors import MetricEstimationError
 from curvebench.estimation import (
     EstimationConfig,
+    estimate_curvature,
     estimate_curvature_via_function,
     estimate_curvature_via_metric,
     estimate_metric_knn,
@@ -26,6 +29,7 @@ from curvebench.geometry import (
     MetricField,
     TensorGrid,
     l2_curvature_score,
+    pair_indices,
     unit_grid,
 )
 from curvebench.neighbors import nearest_neighbors, squared_distance
@@ -461,6 +465,116 @@ class TestRigidMotionProperty:
         )
         assert result.score < 1e-6
         assert result.score_raw < 1e-6
+
+
+@st.composite
+def sweep_cases(draw):
+    """A strictly increasing 2-D or 3-D grid, a k, an estimator, a mode and
+    2-3 sample sets on the grid.
+
+    The first axis is squeezed on a drawn share of cases, so some KNN
+    neighborhoods lie in one grid line and their fits fail.  A set is smooth,
+    or collapsed (all but the first grid direction shrunk by 1e-7), which
+    clamps KNN metrics, regularizes metrics before inversion and floors plane
+    areas.
+    """
+    n = draw(st.integers(2, 3))
+    lo, hi = (8, 12) if n == 2 else (4, 6)
+    sizes = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    axes = [np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+            for size in sizes]
+    if draw(st.booleans()):
+        axes[0] = axes[0] * 0.01
+    grid = TensorGrid(tuple(axes))
+    k = draw(st.integers(n + 1, 12))
+    method = draw(st.sampled_from(["metric_knn", "function_spline"]))
+    mode = draw(st.sampled_from(["standard", "paper_sqrt"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = grid.points() / grid.points().max(axis=0)
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(["smooth", "collapsed"]), min_size=2, max_size=3)):
+        lift = rng.normal(size=(n, 3))
+        if kind == "collapsed":
+            pts_kept = np.column_stack([pts[:, :1], 1e-7 * pts[:, 1:]])
+        else:
+            pts_kept = pts
+        sets.append(np.column_stack([pts_kept, np.tanh(pts_kept @ lift)])
+                    * rng.uniform(0.5, 4.0))
+    return grid, k, method, mode, np.stack(sets)
+
+
+class TestStackedSweep:
+    """An (S, N, m) stack through either estimator equals S one-set calls bit
+    for bit, node lists indexing the stack set-major."""
+
+    @staticmethod
+    def check_stacked_equals_one_set_calls(grid, k, method, mode, sets):
+        cfg = EstimationConfig(method=method, mode=mode, k_neighbors=k, rescale_output=False)
+        stacked = estimate_curvature(grid, sets, cfg)
+        singles = [estimate_curvature(grid, one, cfg) for one in sets]
+        num = grid.num_points
+        assert stacked.values.shape == (len(sets), num, len(pair_indices(grid.n)))
+        for s, one in enumerate(singles):
+            assert stacked.values[s].tobytes() == one.values.tobytes()
+        assert list(stacked.diagnostics) == list(singles[0].diagnostics)
+        for key, val in stacked.diagnostics.items():
+            if key == "regularization":
+                assert val == [one.diagnostics[key] for one in singles]
+            else:
+                assert val == [s * num + i for s, one in enumerate(singles)
+                               for i in one.diagnostics[key]]
+        if method == "metric_knn":
+            metric, diag = estimate_metric_knn(grid, sets, k)
+            for s, one in enumerate(sets):
+                one_metric, one_diag = estimate_metric_knn(grid, one, k)
+                assert metric.packed[s].tobytes() == one_metric.packed.tobytes()
+                for key in diag:
+                    assert [i - s * num for i in diag[key] if s * num <= i < (s + 1) * num] \
+                        == one_diag[key]
+        return stacked
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=sweep_cases())
+    def test_stack_matches_one_set_calls(self, case):
+        self.check_stacked_equals_one_set_calls(*case)
+
+    @pytest.mark.parametrize("method", ["metric_knn", "function_spline"])
+    @pytest.mark.parametrize("mode", ["standard", "paper_sqrt"])
+    def test_failed_clamped_and_floored_nodes_split_by_set(self, method, mode):
+        # a squeezed first axis (failed fits) and a collapsed second set
+        grid = TensorGrid((np.arange(12) * 0.02, np.arange(12) / 11))
+        pts = grid.points() / grid.points().max(axis=0)
+        smooth = np.column_stack([pts, np.sin(2 * pts[:, 0]) * pts[:, 1]])
+        collapsed = np.column_stack([pts[:, 0], 1e-7 * pts[:, 1], np.sin(2 * pts[:, 0])])
+        stacked = self.check_stacked_equals_one_set_calls(
+            grid, 8, method, mode, np.stack([smooth, collapsed]))
+        diag = stacked.diagnostics
+        expected = ["degenerate_nodes", "floored_plane_nodes"]
+        if method == "metric_knn":
+            expected += ["failed_nodes", "clamped_nodes"]
+        for key in expected:
+            assert diag[key], key
+        if method == "metric_knn":
+            # the grid decides which fits fail, the samples which are clamped
+            failed, half = diag["failed_nodes"], len(diag["failed_nodes"]) // 2
+            assert failed[half:] == [i + grid.num_points for i in failed[:half]]
+            assert min(diag["clamped_nodes"]) >= grid.num_points
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=sweep_cases(), rescale=st.booleans())
+    def test_roundtrip_score_equals_two_one_set_passes(self, case, rescale):
+        # the score of the former two-pass roundtrip_score: one estimator
+        # call on the (optionally rescaled) points, one on the raw points
+        grid, k, method, mode, sets = case
+        cfg = EstimationConfig(method=method, mode=mode, k_neighbors=k, trim=1,
+                               rescale_output=rescale)
+        result = roundtrip_score(grid, sets[0], cfg)
+        fld = estimate_curvature(grid, sets[0], cfg)
+        raw = estimate_curvature(grid, sets[0], replace(cfg, rescale_output=False))
+        assert result.score == l2_curvature_score(fld, trim=1)
+        assert result.score_raw == l2_curvature_score(raw, trim=1)
+        assert result.field.values.tobytes() == fld.values.tobytes()
+        assert result.field.diagnostics == fld.diagnostics
 
 
 class TestMethodAgreement:

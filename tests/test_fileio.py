@@ -1,5 +1,7 @@
 """Wire formats: dataset CSV and instance JSON."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,23 @@ class TestInstanceJson:
         fileio.write_instance_json(path, d)
         obj = fileio.read_json(path)
         assert tuple(obj.keys()) == fileio.INSTANCE_KEYS
+
+    @pytest.mark.parametrize("key,value", [
+        ("thetas", 1.2),
+        ("thetas", ["1.2", "1.8"]),
+        ("thetas", [True, 1.8]),
+        ("families", "sine"),
+        ("families", ["sine", 3]),
+    ])
+    def test_wrongly_typed_list_is_named(self, tmp_path, key, value):
+        d = make_descriptor(("sine", "circle"), (1.2, 1.8))
+        path = tmp_path / "inst.json"
+        fileio.write_instance_json(path, d)
+        obj = fileio.read_json(path)
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"inst.json: '{key}' must be a list of"):
+            fileio.read_instance_json(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvebench.errors import DegenerateMetricError
 from curvebench.geometry import (
@@ -149,6 +151,68 @@ class TestRiemann:
             dgamma = rng.normal(size=(3, 3, 3, 3))
             r = riemann_at(gamma, dgamma)
             assert np.max(np.abs(r + r.swapaxes(1, 2))) < 1e-12
+
+
+def christoffel_einsum(g, dg, d2g, lam):
+    """The ``einsum`` form of :func:`christoffel`'s contractions, kept as the
+    reference its index-order loops must equal bit for bit."""
+    n = g.shape[-1]
+    ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(n))
+    nb = dg.ndim - 3
+    term = (dg + dg.transpose(*range(nb), nb, nb + 2, nb + 1)
+            - dg.transpose(*range(nb), nb + 2, nb, nb + 1))
+    gamma = 0.5 * np.einsum("...mk,...mij->...kij", ginv, term)
+    dginv = -np.einsum("...ma,...abl,...bk->...mkl", ginv, dg, ginv)
+    dterm = (d2g + d2g.swapaxes(-3, -2)
+             - d2g.transpose(*range(nb), nb + 2, nb, nb + 1, nb + 3))
+    dgamma = 0.5 * (
+        np.einsum("...mkl,...mij->...kijl", dginv, term)
+        + np.einsum("...mk,...mijl->...kijl", ginv, dterm)
+    )
+    return gamma, dgamma
+
+
+def riemann_einsum(gamma, dgamma):
+    """The ``einsum`` form of :func:`riemann_at`, kept as its reference."""
+    nb = gamma.ndim - 3
+    t1 = dgamma.transpose(*range(nb), nb, nb + 1, nb + 3, nb + 2)
+    t2 = dgamma.transpose(*range(nb), nb, nb + 3, nb + 1, nb + 2)
+    q1 = np.einsum("...pik,...ljp->...lijk", gamma, gamma)
+    q2 = np.einsum("...pjk,...lip->...lijk", gamma, gamma)
+    return t1 - t2 + q1 - q2
+
+
+class TestContractionsMatchEinsum:
+    """christoffel and riemann_at equal their former einsum forms bit for bit,
+    signed zeros included, for any batch shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        batch=st.sampled_from([(), (1,), (7,), (2, 5), (300,)]),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_einsum(self, n, batch, zero_share, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            # some exact (and negative) zeros, as a constant metric has
+            return rng.normal(size=shape) * (rng.random(shape) >= zero_share) \
+                * rng.choice([-1.0, 1.0], size=shape)
+
+        a = rng.normal(size=batch + (n, n))
+        g = a @ a.swapaxes(-1, -2) + rng.uniform(0.0, 0.2) * np.eye(n)
+        dg = draw(batch + (n, n, n))
+        dg = dg + dg.swapaxes(-3, -2)
+        d2g = draw(batch + (n, n, n, n))
+        d2g = d2g + d2g.swapaxes(-1, -2)
+        lam = rng.uniform(0.0, 1e-3, size=batch) * (rng.random(batch) < 0.3)
+        gamma, dgamma = christoffel(g, dg, d2g, lam)
+        ref_gamma, ref_dgamma = christoffel_einsum(g, dg, d2g, lam)
+        assert gamma.tobytes() == ref_gamma.tobytes()
+        assert dgamma.tobytes() == ref_dgamma.tobytes()
+        assert riemann_at(gamma, dgamma).tobytes() == riemann_einsum(gamma, dgamma).tobytes()
 
 
 class TestSectional:

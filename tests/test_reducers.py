@@ -185,6 +185,44 @@ class TestNpr:
             npr(*pair, kn=3)
 
 
+class TestNprNeighborCache:
+    def test_dataset_table_is_searched_once_per_dataset(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 7))
+        embeddings = [X[:, :2], X[:, 1:3] * [2.0, 0.5]]
+        searched = []
+        search = reducers.nearest_neighbors
+
+        def counting(points, k, key):
+            searched.append(np.array(points))
+            return search(points, k, key=key)
+
+        fresh = []
+        for Y in embeddings:  # every call on an empty cache
+            reducers._cached_high_neighbors.cache_clear()
+            fresh.append(npr(X, Y, kn=6))
+        reducers._cached_high_neighbors.cache_clear()
+        monkeypatch.setattr(reducers, "nearest_neighbors", counting)
+        cached = [npr(X, Y, kn=6) for Y in embeddings]
+        assert cached == fresh
+        assert sum(np.array_equal(pts, X) for pts in searched) == 1
+        assert len(searched) == 3  # X once, each embedding once
+
+        moved = X.copy()
+        moved[4, 2] += 1e-12
+        npr(moved, embeddings[0], kn=6)
+        npr(X, embeddings[0], kn=7)
+        assert sum(pts.shape == X.shape for pts in searched) == 3
+        assert reducers._cached_high_neighbors.cache_info().misses == 3
+
+    def test_cached_table_is_read_only(self):
+        X = np.random.default_rng(14).normal(size=(20, 4))
+        npr(X, X[:, :2], kn=3)
+        table = reducers._cached_high_neighbors(X.tobytes(), X.shape, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
 def write_stub(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(
