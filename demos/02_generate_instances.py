@@ -18,7 +18,7 @@ print("instance:", descriptor.instance_id)
 imap = makegen(descriptor)
 grid = unit_grid(2, 32).points()
 cloud = imap.evaluate(grid)
-print(f"dataset: {cloud.points.shape[0]} points in R^{cloud.d}")
+print(f"dataset: {cloud.points.shape[0]} points in R^{cloud.points.shape[1]}")
 
 # The analytic pullback metric has unit diagonal (each axis curve is unit
 # speed) and a nonzero off-diagonal where padded curves overlap.

@@ -310,12 +310,13 @@ def cmd_suite(args) -> int:
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
+    # one repeat's jobs share a dataset and run back to back, so npr's cache serves them
     jobs = [
         (desc, method, repeat, config, args.kn,
          (args.mds_max_iter, args.mds_tol), tuned.get(method))
         for desc in descriptors
-        for method in methods
         for repeat in range(1, args.repeats + 1)
+        for method in methods
     ]
     if args.workers > 1:
         # Workers take turns for classical MDS; see share_classical_mds_lock.
@@ -462,21 +463,21 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
     best = None
     draws = []
     for draw_index in range(budget):
-        hp = _sample_space(space, rng)
+        draw = {"hyperparameters": _sample_space(space, rng)}
         try:
             result = reduce_dataset(method, X, descriptor.n, seed=seed,
-                                    hyperparameters=hp)
+                                    hyperparameters=draw["hyperparameters"])
             scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
-            value = scored["curvature_score"] if objective == "curvature" \
+            draw["objective"] = scored["curvature_score"] if objective == "curvature" \
                 else -scored["npr"]
         except (CurvebenchError, ValueError) as exc:
-            value = float("inf")
-            scored = {"error": f"{type(exc).__name__}: {exc}"}
-        draws.append({"hyperparameters": hp, "objective": value})
-        if best is None or value < best["objective"]:
-            best = {"hyperparameters": hp, "objective": value, "draw": draw_index}
+            draw.update(objective=float("inf"), error=f"{type(exc).__name__}: {exc}")
+        draws.append(draw)
+        if best is None or draw["objective"] < best["objective"]:
+            best = dict(draw, draw=draw_index)
     if not np.isfinite(best["objective"]):
-        raise TuningError("every sampled configuration failed")
+        raise TuningError("every sampled configuration failed; the first with "
+                          + draws[0]["error"])
     return {
         "method": method,
         "objective_name": objective,
@@ -605,10 +606,13 @@ def cmd_plot(args) -> int:
         out.write_text(_scatter_svg(pts))
     elif header[:4] == ["instance_id", "method", "repeat", "score"]:
         rows = []
-        for line in text.splitlines()[1:]:
+        for lineno, line in enumerate(text.splitlines()[1:], start=2):
             if not line.strip():
                 continue
             cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
+                                 f"got {len(cells)}")
             rows.append(dict(zip(header, cells)))
         out.write_text(_box_svg(rows))
     else:

@@ -107,7 +107,6 @@ class PlaneCurve:
 
     s_values: np.ndarray
     points: np.ndarray
-    spec: CurvatureSpec
     _fine_s: np.ndarray = field(default=None, repr=False)
     _fine_alpha: np.ndarray = field(default=None, repr=False)
     _fine_points: np.ndarray = field(default=None, repr=False)
@@ -179,7 +178,6 @@ def reconstruct_curve(
     return PlaneCurve(
         s_values=s_grid,
         points=np.stack([px, py], axis=1),
-        spec=spec,
         _fine_s=fine,
         _fine_alpha=alpha,
         _fine_points=fine_points,

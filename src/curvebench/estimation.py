@@ -137,7 +137,7 @@ def _raise_lstsq_error(err, flag):
 
 
 def _solve_knn(v, w):
-    """The stacked least-squares solve of :func:`fit_knn_metrics` on neighbor
+    """The stacked least-squares solve of :func:`knn_metric_at` on neighbor
     differences ``v`` (B, K, n) and ``w`` ([S,] B, K, m), rows already in the
     canonical order.
 
@@ -177,49 +177,6 @@ def _canonical_order(neighbors, image_neighbors=None):
     return np.lexsort(keys, axis=-1)
 
 
-def fit_knn_metrics(x, neighbors, image_x, image_neighbors):
-    """Least-squares pullback metrics at B nodes from K neighbor differences.
-
-    ``x`` is (B, n), ``neighbors`` (B, K, n), ``image_x`` (B, m) and
-    ``image_neighbors`` (B, K, m).  At each node the symmetric matrix A
-    minimizing sum_{i,j} (v_i^T A v_j - t_ij)^2 over all K^2 neighbor pairs
-    is fitted, where v_i = neighbors[i] - x and t_ij is the scalar product
-    of the image differences.  Exact for linear maps.  Each node's rows are
-    put in a canonical order first, so any permutation of its neighbors
-    gives a bit-identical result.  All B fits are one call of the gufunc
-    behind ``np.linalg.lstsq``, with its default ``rcond``, so each node's
-    result equals a ``np.linalg.lstsq`` fit bit for bit.
-
-    Returns (mats (B, n, n), failed): ``failed`` indexes the nodes whose
-    neighbor vectors do not span the source space (rank-deficient fit);
-    their matrices are ``EIG_FLOOR * I``.
-    """
-    x, neighbors, image_x, image_neighbors = (
-        np.asarray(a, dtype=float) for a in (x, neighbors, image_x, image_neighbors)
-    )
-    if not all(
-        np.all(np.isfinite(a)) for a in (x, neighbors, image_x, image_neighbors)
-    ):
-        raise ValueError("knn metric fit inputs must be finite")
-    if neighbors.ndim != 3 or image_neighbors.ndim != 3:
-        raise ValueError("neighbors and image_neighbors must be (B, K, dim) stacks")
-    num, k, n = neighbors.shape
-    if image_neighbors.shape[:2] != (num, k):
-        raise ValueError("neighbors and image_neighbors must have matching rows")
-    if x.shape != (num, n) or image_x.shape != (num, image_neighbors.shape[2]):
-        raise ValueError("x and image_x must hold one row per node")
-    if k <= n:
-        raise ValueError(
-            f"need more neighbors than source dimensions (K > n); got K={k}, n={n}"
-        )
-
-    order = _canonical_order(neighbors, image_neighbors)[..., None]
-    v = np.take_along_axis(neighbors, order, axis=1) - x[:, None, :]
-    w = np.take_along_axis(image_neighbors, order, axis=1) - image_x[:, None, :]
-    mats, failed = _solve_knn(v, w)
-    return mats, np.nonzero(failed)[0]
-
-
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
 def _cached_stencil(axes_bytes, k):
     pts = TensorGrid(tuple(np.frombuffer(b) for b in axes_bytes)).points()
@@ -231,25 +188,55 @@ def _cached_stencil(axes_bytes, k):
 
 def knn_stencil(grid: TensorGrid, k: int) -> np.ndarray:
     """The (N, k) nearest-neighbor table of ``grid``'s nodes, each row in the
-    canonical order of :func:`fit_knn_metrics`, cached per (axes, k).
+    canonical order of :func:`knn_metric_at`, cached per (axes, k).
 
     The nodes of a tensor grid are distinct, so the source coordinates alone
     fix the order and the image never breaks a tie: fitting these rows
-    directly equals :func:`fit_knn_metrics` bit for bit.  The table is
+    directly equals :func:`knn_metric_at` bit for bit.  The table is
     read-only.
     """
     return _cached_stencil(tuple(a.tobytes() for a in grid.axes), int(k))
 
 
 def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
-    """Least-squares pullback metric at one node: :func:`fit_knn_metrics`
-    for B = 1, raising :class:`MetricEstimationError` when the neighbor
-    vectors do not span the source space."""
-    mats, failed = fit_knn_metrics(
-        np.reshape(x, (1, -1)), np.atleast_2d(neighbors)[None],
-        np.reshape(image_x, (1, -1)), np.atleast_2d(image_neighbors)[None],
+    """Least-squares pullback metric at one node from K neighbor differences.
+
+    ``x`` is (n,), ``neighbors`` (K, n), ``image_x`` (m,) and
+    ``image_neighbors`` (K, m).  The symmetric matrix A minimizing
+    sum_{i,j} (v_i^T A v_j - t_ij)^2 over all K^2 neighbor pairs is fitted,
+    where v_i = neighbors[i] - x and t_ij is the scalar product of the image
+    differences.  Exact for linear maps.  The rows are put in the canonical
+    order first, so any permutation of the neighbors gives a bit-identical
+    result, and the fit is one call of the gufunc behind
+    ``np.linalg.lstsq``, with its default ``rcond``, so it equals a
+    ``np.linalg.lstsq`` fit bit for bit.
+
+    Raises :class:`MetricEstimationError` when the neighbor vectors do not
+    span the source space (rank-deficient fit).
+    """
+    x, neighbors, image_x, image_neighbors = (
+        np.asarray(a, dtype=float) for a in (x, neighbors, image_x, image_neighbors)
     )
-    if failed.size:
+    if not all(
+        np.all(np.isfinite(a)) for a in (x, neighbors, image_x, image_neighbors)
+    ):
+        raise ValueError("knn metric fit inputs must be finite")
+    if neighbors.ndim != 2 or image_neighbors.ndim != 2:
+        raise ValueError("neighbors and image_neighbors must be (K, dim) arrays")
+    k, n = neighbors.shape
+    if image_neighbors.shape[0] != k:
+        raise ValueError("neighbors and image_neighbors must have matching rows")
+    if x.shape != (n,) or image_x.shape != image_neighbors.shape[1:]:
+        raise ValueError("x and image_x must be single points")
+    if k <= n:
+        raise ValueError(
+            f"need more neighbors than source dimensions (K > n); got K={k}, n={n}"
+        )
+
+    order = _canonical_order(neighbors, image_neighbors)
+    mats, failed = _solve_knn((neighbors[order] - x)[None],
+                              (image_neighbors[order] - image_x)[None])
+    if failed[0]:
         raise MetricEstimationError(
             "neighbor vectors do not span the source space; metric fit is rank-deficient"
         )
@@ -295,9 +282,8 @@ def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
 
     w, vecs = np.linalg.eigh(mats)
     clamped = np.any(w < EIG_FLOOR, axis=-1)
-    for s in np.nonzero(np.any(clamped, axis=1))[0]:
-        # a clamp re-forms every node of its set
-        mats[s] = np.einsum("nij,nj,nkj->nik", vecs[s], np.maximum(w[s], EIG_FLOOR), vecs[s])
+    w, vecs = w[clamped], vecs[clamped]
+    mats[clamped] = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(w, EIG_FLOOR), vecs)
     diagnostics = {
         "failed_nodes": _node_list(failed),
         "clamped_nodes": _node_list(clamped),
@@ -332,7 +318,7 @@ def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
         "regularization": lam.reshape(grid_shape).max(axis=-1).tolist(),
     }
     return SectionalCurvatureField(grid=grid, values=values.reshape(grid_shape + (-1,)),
-                                   mode=mode, diagnostics=diagnostics)
+                                   diagnostics=diagnostics)
 
 
 def _prepare_samples(f_samples, config: EstimationConfig, method: str):

@@ -85,14 +85,12 @@ def make_descriptor(
     eta=DEFAULT_ETA,
     seed=0,
     grid_resolution=DEFAULT_RESOLUTION,
-    n=None,
     m=DEFAULT_M,
 ) -> InstanceDescriptor:
     """Build a descriptor, deriving n and the instance id automatically."""
     families = tuple(families)
     thetas = tuple(float(t) for t in thetas)
-    if n is None:
-        n = len(families)
+    n = len(families)
     return InstanceDescriptor(
         n=n,
         m=m,
@@ -118,13 +116,6 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def sample_special_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,30 +207,24 @@ def _first_offending_row(curve: PlaneCurve, coords) -> int:
     return int(bad[0])
 
 
-def makegen(
-    descriptor: InstanceDescriptor,
-    *,
-    rotation=None,
-    translation=None,
-    curve_step: float = DEFAULT_STEP,
-) -> ImmersionMap:
+def makegen(descriptor: InstanceDescriptor, *, rotation=None) -> ImmersionMap:
     """Sample the immersion map described by ``descriptor``.
 
     All randomness flows from ``descriptor.seed`` (rotation drawn first,
     translation second), so identical descriptors give bit-identical maps.
-    ``rotation``/``translation`` are test hooks that replace the sampled
-    values without consuming different random draws.
+    ``rotation`` is a test hook that replaces the sampled rotation without
+    consuming different random draws.
     """
     rng = np.random.default_rng(descriptor.seed)
-    s_grid = np.linspace(0.0, 1.0, int(round(1.0 / curve_step)) + 1)
-    curves = tuple(reconstruct_curve(spec, s_grid, curve_step) for spec in descriptor.specs())
+    s_grid = np.linspace(0.0, 1.0, int(round(1.0 / DEFAULT_STEP)) + 1)
+    curves = tuple(reconstruct_curve(spec, s_grid) for spec in descriptor.specs())
     sampled_rot = sample_special_orthogonal(descriptor.m, rng)
-    sampled_tr = rng.normal(0.0, descriptor.eta, size=descriptor.m) if descriptor.eta > 0 \
+    translation = rng.normal(0.0, descriptor.eta, size=descriptor.m) if descriptor.eta > 0 \
         else np.zeros(descriptor.m)
     return ImmersionMap(
         curves=curves,
         rotation=sampled_rot if rotation is None else np.asarray(rotation, dtype=float),
-        translation=sampled_tr if translation is None else np.asarray(translation, dtype=float),
+        translation=translation,
         descriptor=descriptor,
     )
 

@@ -300,7 +300,6 @@ class SectionalCurvatureField:
 
     grid: TensorGrid
     values: np.ndarray
-    mode: str = "standard"
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -28,9 +28,6 @@ from .errors import (
 from . import fileio
 from .neighbors import nearest_neighbors, pdist_squared_distance
 
-BUILTIN_METHODS = ("pca", "tsvd", "mds")
-
-
 @dataclass(frozen=True)
 class EmbeddingResult:
     """Embedding rows aligned with the input rows, plus provenance."""
@@ -269,56 +266,40 @@ def run_external_reducer(
             "hyperparameter names must be supplied"
         ) from None
     argv = shlex.split(rendered)
+
+    def protocol_error(error, message, run):
+        """``error`` carrying the rendered command and ``run``'s output as
+        str: a timeout hands back partial output as bytes (or None)."""
+        out, err = (text.decode(errors="replace") if isinstance(text, bytes) else text or ""
+                    for text in (run.stdout, run.stderr))
+        return error(message, command=rendered, stdout=out, stderr=err)
+
     start = time.perf_counter()
     try:
         proc = subprocess.run(
             argv, capture_output=True, text=True, timeout=timeout, cwd=workdir
         )
     except subprocess.TimeoutExpired as exc:
-        raise ReducerTimeoutError(
-            f"external reducer exceeded {timeout}s and was terminated",
-            command=rendered,
-            stdout=exc.stdout or "",
-            stderr=exc.stderr or "",
-        ) from None
+        raise protocol_error(ReducerTimeoutError,
+                             f"external reducer exceeded {timeout}s and was terminated",
+                             exc) from None
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
-        raise ReducerExitError(
-            f"external reducer exited with status {proc.returncode}",
-            command=rendered,
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        )
+        raise protocol_error(ReducerExitError,
+                             f"external reducer exited with status {proc.returncode}", proc)
     if not output_path.exists():
-        raise ReducerOutputError(
-            "external reducer wrote no output file",
-            command=rendered,
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        )
+        raise protocol_error(ReducerOutputError, "external reducer wrote no output file", proc)
     try:
         Y = fileio.read_point_cloud_csv(output_path, prefix="y")
     except ValueError as exc:
-        raise ReducerOutputError(
-            f"malformed reducer output: {exc}",
-            command=rendered,
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        ) from None
+        raise protocol_error(ReducerOutputError, f"malformed reducer output: {exc}",
+                             proc) from None
     if Y.shape[0] != X.shape[0]:
-        raise ReducerRowCountError(
-            f"expected {X.shape[0]} embedding rows, got {Y.shape[0]}",
-            command=rendered,
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        )
+        raise protocol_error(ReducerRowCountError,
+                             f"expected {X.shape[0]} embedding rows, got {Y.shape[0]}", proc)
     if Y.shape[1] != k:
-        raise ReducerOutputError(
-            f"expected {k} embedding columns, got {Y.shape[1]}",
-            command=rendered,
-            stdout=proc.stdout,
-            stderr=proc.stderr,
-        )
+        raise protocol_error(ReducerOutputError,
+                             f"expected {k} embedding columns, got {Y.shape[1]}", proc)
     return EmbeddingResult(
         Y=Y,
         method="external",
@@ -329,8 +310,7 @@ def run_external_reducer(
 
 def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
                    mds_max_iter: int = 300, mds_tol: float = 1e-9,
-                   timeout: float = 300.0, workdir=None,
-                   hyperparameters=None) -> EmbeddingResult:
+                   timeout: float = 300.0, hyperparameters=None) -> EmbeddingResult:
     """Dispatch a method spec: 'pca', 'tsvd', 'mds' or 'external:<command>'."""
     hyperparameters = dict(hyperparameters or {})
     if method == "pca":
@@ -338,18 +318,20 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
     if method == "tsvd":
         return truncated_svd_project(X, k)
     if method == "mds":
-        return mds_project(
-            X, k,
-            max_iter=int(hyperparameters.get("max_iter", mds_max_iter)),
-            tol=float(hyperparameters.get("tol", mds_tol)),
-        )
+        opts = {}
+        for name, cast, default in (("max_iter", int, mds_max_iter), ("tol", float, mds_tol)):
+            value = hyperparameters.get(name, default)
+            try:
+                opts[name] = cast(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"mds hyperparameter {name!r} must be a number, "
+                                 f"got {value!r}") from None
+        return mds_project(X, k, **opts)
     if method.startswith("external:"):
         command = method.split(":", 1)[1]
         if hyperparameters:
             command = _render_hyperparameters(command, hyperparameters)
-        return run_external_reducer(
-            command, X, k, timeout=timeout, workdir=workdir, seed=seed
-        )
+        return run_external_reducer(command, X, k, timeout=timeout, seed=seed)
     raise ValueError(
         f"unknown method {method!r}; valid methods: pca, tsvd, mds, external:<command>"
     )

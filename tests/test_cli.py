@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvebench import cli, estimation, fileio
+from curvebench import cli, estimation, fileio, reducers
 from curvebench.cli import main, score_embedding, tune_hyperparameters
 from curvebench.estimation import EstimationConfig
 
@@ -295,6 +295,16 @@ class TestSuite:
         assert "--resolution 16" in err and ("trim=8" in err or "kn must be" in err)
         assert not out_dir.exists()
 
+    def test_repeats_share_the_npr_dataset_cache(self, tmp_path):
+        # jobs run instance by instance, repeat by repeat: each repeat's tsvd
+        # job finds the dataset its pca job searched
+        reducers._cached_high_neighbors.cache_clear()
+        assert run([
+            "suite", "--methods", "pca,tsvd", "--repeats", "3", "--limit", "1",
+            "--resolution", "16", "--out-dir", tmp_path / "out",
+        ]) == 0
+        assert reducers._cached_high_neighbors.cache_info().hits == 3
+
     def test_parallel_workers_match_serial(self, tmp_path):
         argv = [
             "suite", "--methods", "pca", "--repeats", "1", "--limit", "2",
@@ -478,6 +488,28 @@ class TestTune:
         assert (named or str(path)) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["abc", None])
+    def test_every_failed_draw_names_its_error(self, tmp_path, capsys, value):
+        inst, _ = generate_flat(tmp_path)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"max_iter": {"values": [value]}}))
+        assert run([
+            "tune", "--method", "mds", "--space", path, "--budget", "2",
+            "--instance", inst, "--out", tmp_path / "tuned.json",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "every sampled configuration failed; the first with ValueError: " \
+            f"mds hyperparameter 'max_iter' must be a number, got {value!r}" in err
+
+    def test_failed_draws_carry_their_error(self, tmp_path):
+        descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])
+        result = tune_hyperparameters("mds", {"max_iter": {"values": ["abc", 3]}}, 6,
+                                      descriptor, EstimationConfig())
+        failed = [d for d in result["draws"] if d["hyperparameters"]["max_iter"] == "abc"]
+        assert 0 < len(failed) < 6
+        assert all(d["error"].startswith("ValueError: mds hyperparameter") for d in failed)
+        assert all("error" not in d for d in result["draws"] if d not in failed)
+
     def test_bad_kn_rejected_before_any_reduction(self, tmp_path, monkeypatch):
         inst, _ = generate_flat(tmp_path)
         descriptor = fileio.read_instance_json(inst)
@@ -520,6 +552,16 @@ class TestPlot:
         empty.write_text("")
         assert run(["plot", "--input", empty, "--out", tmp_path / "x.svg"]) == 1
         assert "empty CSV" in capsys.readouterr().err
+
+    def test_ragged_summary_row_is_reported(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "instance_id,method,repeat,score,score_raw,npr,status\n"
+            "a,pca,1,1.0,1.0,0.5,ok\n"
+            "a,mds,1,2.0\n"
+        )
+        assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
+        assert f"{summary}:3: expected 7 cells, got 4" in capsys.readouterr().err
 
     def test_high_dimensional_embedding_rejected(self, tmp_path, capsys):
         emb = tmp_path / "wide.csv"

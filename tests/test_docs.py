@@ -40,7 +40,7 @@ def test_demo_imports_are_exported():
 
 
 @pytest.mark.parametrize("name", ["01_curvature_families", "02_generate_instances",
-                                  "03_curvature_score"])
+                                  "03_curvature_score", "04_benchmark_reducers"])
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

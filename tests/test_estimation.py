@@ -16,7 +16,6 @@ from curvebench.estimation import (
     estimate_curvature_via_metric,
     estimate_metric_knn,
     curvature_from_metric_field,
-    fit_knn_metrics,
     fit_spline,
     knn_metric_at,
     knn_stencil,
@@ -272,8 +271,14 @@ class TestBatchedKnnFit:
         lift = rng.normal(size=(n, m))
         image_x = np.tanh(x @ lift)
         image_neighbors = np.tanh(neighbors @ lift) + 0.1 * neighbors[..., :1] ** 2
-        mats, failed = fit_knn_metrics(x, neighbors, image_x, image_neighbors)
-        self.assert_matches_reference(mats, failed, x, neighbors, image_x, image_neighbors)
+        for node in range(nodes):
+            args = (x[node], neighbors[node], image_x[node], image_neighbors[node])
+            ref = lstsq_metric_reference(*args)
+            if ref is None:
+                with pytest.raises(MetricEstimationError):
+                    knn_metric_at(*args)
+            else:
+                assert knn_metric_at(*args).tobytes() == ref.tobytes()
 
     def test_chunked_grid_fit_matches_per_node_lstsq(self):
         # 400 nodes span two chunks of the stacked call
@@ -298,17 +303,16 @@ class TestBatchedKnnFit:
             metric.matrices(), diag["failed_nodes"], pts, pts[nn], pts, pts[nn]
         )
 
-    def test_one_node_call_is_the_batched_fit(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 2))
-        nb = x[:, None, :] + 0.1 * rng.normal(size=(3, 7, 2))
-        img = np.concatenate([nb, nb[..., :1] ** 2], axis=-1)
-        img_x = np.concatenate([x, x[:, :1] ** 2], axis=-1)
-        mats, failed = fit_knn_metrics(x, nb, img_x, img)
-        assert failed.size == 0
-        for node in range(3):
-            single = knn_metric_at(x[node], nb[node], img_x[node], img[node])
-            assert single.tobytes() == mats[node].tobytes()
+
+def stencil_image(grid, m, seed):
+    """A random map: a full-rank linear part (so that clamping is rare) plus
+    ``m`` smooth and noisy coordinates."""
+    pts = grid.points()
+    rng = np.random.default_rng(seed)
+    linear = pts @ sample_special_orthogonal(grid.n, rng) * rng.uniform(0.5, 2.0, grid.n)
+    lift = rng.normal(size=(grid.n, m))
+    rough = np.tanh(pts @ lift) + 0.1 * rng.normal(size=(pts.shape[0], m)) ** 3
+    return np.column_stack([linear, rough])
 
 
 @st.composite
@@ -321,12 +325,24 @@ def stencil_cases(draw):
         for size in sizes
     )
     k = draw(st.integers(3, min(12, sizes[0] * sizes[1] - 1)))
-    return TensorGrid(axes), k, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+    grid = TensorGrid(axes)
+    return grid, k, stencil_image(grid, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)))
+
+
+def fixed_stencil_case(grid, k, m, seed):
+    return grid, k, stencil_image(grid, m, seed)
+
+
+FOLD_GRID = unit_grid(2, 9)
+# (|x - 0.5|, y) folds the square along x = 0.5: 9 of its 81 nodes clamp at k = 8
+FOLD_CASE = (FOLD_GRID, 8, np.column_stack([np.abs(FOLD_GRID.points()[:, 0] - 0.5),
+                                             FOLD_GRID.points()[:, 1]]))
 
 
 class TestKnnStencil:
     """estimate_metric_knn on the cached (grid, k) table equals a per-node
-    ``np.linalg.lstsq`` fit on a freshly searched table, on cache miss and hit."""
+    ``np.linalg.lstsq`` fit on a freshly searched table, on cache miss and hit,
+    at every node that is not clamped."""
 
     @staticmethod
     def check_against_reference(grid, k, samples):
@@ -338,32 +354,22 @@ class TestKnnStencil:
         assert diag["failed_nodes"] == [i for i, ref in enumerate(refs) if ref is None]
         ref_mats = np.stack([EIG_FLOOR * np.eye(grid.n) if ref is None else ref
                              for ref in refs])
-        expected_clamped = np.nonzero(np.linalg.eigvalsh(ref_mats)[:, 0] < EIG_FLOOR)[0]
-        assert diag["clamped_nodes"] == [int(i) for i in expected_clamped]
-        if not expected_clamped.size:  # a clamp re-forms every node's matrix
-            assert metric.matrices().tobytes() == ref_mats.tobytes()
-
-    @staticmethod
-    def image(grid, m, seed):
-        """A random map: a full-rank linear part (so that clamping is rare)
-        plus ``m`` smooth and noisy coordinates."""
-        pts = grid.points()
-        rng = np.random.default_rng(seed)
-        linear = pts @ sample_special_orthogonal(grid.n, rng) * rng.uniform(0.5, 2.0, grid.n)
-        lift = rng.normal(size=(grid.n, m))
-        rough = np.tanh(pts @ lift) + 0.1 * rng.normal(size=(pts.shape[0], m)) ** 3
-        return np.column_stack([linear, rough])
+        clamped = np.linalg.eigvalsh(ref_mats)[:, 0] < EIG_FLOOR
+        assert diag["clamped_nodes"] == [int(i) for i in np.flatnonzero(clamped)]
+        assert metric.matrices()[~clamped].tobytes() == ref_mats[~clamped].tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(first=stencil_cases(), second=stencil_cases())
     @example(
-        first=(TensorGrid((np.array([0.0, 0.1, 0.5, 0.6]), np.array([0.0, 1.0, 1.1, 3.0]),
-                           np.array([0.0, 0.3, 2.0]))), 12, 4, 7),
-        second=(unit_grid(2, 5), 3, 1, 8),
+        first=fixed_stencil_case(
+            TensorGrid((np.array([0.0, 0.1, 0.5, 0.6]), np.array([0.0, 1.0, 1.1, 3.0]),
+                        np.array([0.0, 0.3, 2.0]))), 12, 4, 7),
+        second=fixed_stencil_case(unit_grid(2, 5), 3, 1, 8),
     )
+    @example(first=FOLD_CASE, second=fixed_stencil_case(unit_grid(2, 5), 3, 1, 8))
     def test_cached_table_matches_per_node_lstsq(self, first, second):
         estimation._cached_stencil.cache_clear()
-        cases = [(grid, k, self.image(grid, m, seed)) for grid, k, m, seed in (first, second)]
+        cases = [first, second]
         for grid, k, samples in cases + cases:  # miss, miss, then hit, hit
             self.check_against_reference(grid, k, samples)
         for grid, k, _ in cases:

@@ -249,7 +249,10 @@ open(dst, "w").write("\\n".join([header] + rows[1:-1]) + "\\n")
 """
 
 SLEEP_STUB = """
+import sys
 import time
+print("partial", flush=True)
+print("partial error", file=sys.stderr, flush=True)
 time.sleep(30)
 """
 
@@ -282,11 +285,13 @@ class TestExternalReducer:
 
     def test_timeout_error(self, tmp_path):
         stub = write_stub(tmp_path, "sleep.py", SLEEP_STUB)
-        with pytest.raises(ReducerTimeoutError):
+        with pytest.raises(ReducerTimeoutError) as err:
             run_external_reducer(
                 self.command(stub), np.zeros((3, 2)), 2,
-                timeout=1.0, workdir=tmp_path / "run",
+                timeout=3.0, workdir=tmp_path / "run",
             )
+        # the partial output comes back as text, like every other protocol error's
+        assert (err.value.stdout, err.value.stderr) == ("partial\n", "partial error\n")
 
     def test_nonzero_exit_error_captures_stderr(self, tmp_path):
         stub = write_stub(tmp_path, "fail.py", FAIL_STUB)
