@@ -613,7 +613,10 @@ def cmd_plot(args) -> int:
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(cells)}")
-            rows.append(dict(zip(header, cells)))
+            row = dict(zip(header, cells))
+            if row["status"] == "ok" and not np.isfinite(float(row["score"])):
+                raise ValueError(f"{path}:{lineno}: non-finite score {row['score']!r} on an ok row")
+            rows.append(row)
         out.write_text(_box_svg(rows))
     else:
         raise ValueError(f"unrecognized CSV header {first!r}")

@@ -17,7 +17,8 @@ Both routes take one (N, m) sample set or an (S, N, m) stack of sets on the
 same grid, and return one field or a stack of S fields.  A stack shares each
 grid-only step (neighbor gather, least-squares design, spline knots and
 basis) and runs the curvature chain once over all S * N nodes; every set's
-numbers equal a one-set call's bit for bit.
+numbers equal a one-set call's bit for bit.  The estimators use the samples
+as given: :func:`roundtrip_score` alone rescales them.
 """
 
 from dataclasses import dataclass, replace
@@ -73,27 +74,10 @@ def fit_spline(grid: TensorGrid, samples) -> NdBSpline:
     return NdBSpline(tuple(knots), coeffs, k=3)
 
 
-def _spline_derivatives(spline: NdBSpline, pts, order: int) -> np.ndarray:
-    """All partial derivatives of total ``order`` of ``spline`` at ``pts``.
-
-    Returns the symmetric (Q, c, n, ..., n) tensor with ``order`` trailing
-    axes; one spline call per sorted index tuple fills every permutation.
-    """
-    n = len(spline.t)
-    out = np.empty((pts.shape[0], spline.c.shape[-1]) + (n,) * order)
-    for axes in combinations_with_replacement(range(n), order):
-        nu = [0] * n
-        for axis in axes:
-            nu[axis] += 1
-        vals = spline(pts, nu=nu)
-        for perm in set(permutations(axes)):
-            out[(slice(None), slice(None)) + perm] = vals
-    return out
-
-
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Estimator selection and its knobs."""
+    """Estimator selection and its knobs; ``trim`` and ``rescale_output``
+    are read by :func:`roundtrip_score` alone."""
 
     method: str = "metric_knn"
     k_neighbors: int = 8
@@ -292,16 +276,30 @@ def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
     return MetricField.from_matrices(grid, mats), diagnostics
 
 
-def _side_by_side(sets) -> np.ndarray:
-    """(S, N, c) sets -> (N, S * c) spline samples, set s in columns s*c..s*c+c-1."""
-    return np.moveaxis(sets, 0, 1).reshape(sets.shape[1], -1)
+def _stacked_derivatives(grid: TensorGrid, sets, orders) -> list:
+    """Spline derivatives at the grid nodes of each set of an (S, N, c) stack.
 
-
-def _set_major(derivs, num_sets: int) -> np.ndarray:
-    """(Q, S * c, ...) spline derivatives of side-by-side sets -> (S * Q, c, ...)."""
-    q, width = derivs.shape[:2]
-    split = derivs.reshape((q, num_sets, width // num_sets) + derivs.shape[2:])
-    return np.moveaxis(split, 1, 0).reshape((num_sets * q,) + split.shape[2:])
+    The S sets are splined side by side as one (N, S * c) fit, so they share
+    its knots and basis.  For each order in ``orders`` the symmetric
+    (S * N, c, n, ..., n) tensor of all partial derivatives of that total
+    order is returned, rows set-major; one spline call per sorted index tuple
+    fills every permutation.
+    """
+    num_sets, num, width = sets.shape
+    spline = fit_spline(grid, np.moveaxis(sets, 0, 1).reshape(num, -1))
+    pts, n = grid.points(), grid.n
+    out = []
+    for order in orders:
+        derivs = np.empty((num, num_sets, width) + (n,) * order)
+        for axes in combinations_with_replacement(range(n), order):
+            nu = [0] * n
+            for axis in axes:
+                nu[axis] += 1
+            vals = spline(pts, nu=nu).reshape(num, num_sets, width)
+            for perm in set(permutations(axes)):
+                derivs[(slice(None),) * 3 + perm] = vals
+        out.append(np.moveaxis(derivs, 1, 0).reshape((num_sets * num, width) + (n,) * order))
+    return out
 
 
 def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
@@ -321,19 +319,7 @@ def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
                                    diagnostics=diagnostics)
 
 
-def _prepare_samples(f_samples, config: EstimationConfig, method: str):
-    """Check the method; return the ([S,] N, c), optionally rescaled, samples."""
-    if config.method != method:
-        raise ValueError(f"config.method must be {method!r}")
-    f_samples = np.asarray(f_samples, dtype=float)
-    if f_samples.ndim == 1:
-        f_samples = f_samples[:, None]
-    if config.rescale_output:
-        f_samples = rescale_to_unit_box(f_samples)
-    return f_samples
-
-
-def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
+def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
     """Sectional curvature via spline interpolation of the sampled map.
 
     The pullback metric g = J^T J and its first two derivatives are formed
@@ -341,14 +327,12 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
     fed through the Christoffel/Riemann/sectional chain at every node.  The
     sets of an (S, N, m) stack share one spline fit and its basis.
     """
-    f_samples = _prepare_samples(f_samples, config, "function_spline")
-    sets = f_samples.reshape((-1,) + f_samples.shape[-2:])
-    spline = fit_spline(grid, _side_by_side(sets))
-    pts = grid.points()
-
+    f_samples = np.asarray(f_samples, dtype=float)
+    if f_samples.ndim not in (2, 3):
+        raise ValueError(f"f_samples must be (N, m) or (S, N, m), got shape {f_samples.shape}")
     # derivative tensors of f: d1[q, c, i], d2[q, c, i, j], d3[q, c, i, j, l]
-    d1, d2, d3 = (_set_major(_spline_derivatives(spline, pts, order), len(sets))
-                  for order in (1, 2, 3))
+    d1, d2, d3 = _stacked_derivatives(grid, f_samples.reshape((-1,) + f_samples.shape[-2:]),
+                                      (1, 2, 3))
     g = np.einsum("qci,qcj->qij", d1, d1)
     dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
     d2g = (
@@ -357,10 +341,10 @@ def estimate_curvature_via_function(grid, f_samples, config: EstimationConfig):
         + np.einsum("qcil,qcjk->qijkl", d2, d2)
         + np.einsum("qci,qcjkl->qijkl", d1, d3)
     )
-    return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, config.mode)
+    return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
 
 
-def curvature_from_metric_field(metric: MetricField, config: EstimationConfig):
+def curvature_from_metric_field(metric: MetricField, mode: str = "standard"):
     """Sectional curvature of a sampled metric, derivatives from splines.
 
     Each of the n(n+1)/2 stored components is splined over the grid; the
@@ -369,32 +353,20 @@ def curvature_from_metric_field(metric: MetricField, config: EstimationConfig):
     """
     grid = metric.grid
     sets = metric.packed.reshape((-1,) + metric.packed.shape[-2:])
-    spline = fit_spline(grid, _side_by_side(sets))
-    pts = grid.points()
-    g, dg, d2g = (
-        unpack_symmetric(_set_major(_spline_derivatives(spline, pts, order), len(sets)),
-                         grid.n)
-        for order in (0, 1, 2)
-    )
-    return _sectional_from_metric_data(grid, metric.packed.shape[:-2], g, dg, d2g,
-                                       config.mode)
-
-
-def estimate_curvature_via_metric(grid, f_samples, config: EstimationConfig):
-    """Sectional curvature via KNN metric estimation plus metric splines."""
-    f_samples = _prepare_samples(f_samples, config, "metric_knn")
-    metric, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
-    fld = curvature_from_metric_field(metric, config)
-    diagnostics = dict(fld.diagnostics)
-    diagnostics.update(knn_diag)
-    return replace(fld, diagnostics=diagnostics)
+    g, dg, d2g = (unpack_symmetric(derivs, grid.n)
+                  for derivs in _stacked_derivatives(grid, sets, (0, 1, 2)))
+    return _sectional_from_metric_data(grid, metric.packed.shape[:-2], g, dg, d2g, mode)
 
 
 def estimate_curvature(grid, f_samples, config: EstimationConfig):
-    """Dispatch on ``config.method``."""
+    """Sectional curvature of ([S,] N, m) samples, used as given, by the
+    estimator ``config.method`` names; the KNN route adds its fit's
+    diagnostics to the field's."""
     if config.method == "function_spline":
-        return estimate_curvature_via_function(grid, f_samples, config)
-    return estimate_curvature_via_metric(grid, f_samples, config)
+        return estimate_curvature_via_function(grid, f_samples, config.mode)
+    metric, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
+    fld = curvature_from_metric_field(metric, config.mode)
+    return replace(fld, diagnostics={**fld.diagnostics, **knn_diag})
 
 
 def _one_set(fld: SectionalCurvatureField, s: int) -> SectionalCurvatureField:
@@ -430,7 +402,7 @@ def roundtrip_score(grid: TensorGrid, reduced_points, config: EstimationConfig) 
         points = points[:, None]
     sets = np.stack([rescale_to_unit_box(points), points]) if config.rescale_output \
         else points[None]
-    stacked = estimate_curvature(grid, sets, replace(config, rescale_output=False))
+    stacked = estimate_curvature(grid, sets, config)
     fields = [_one_set(stacked, s) for s in range(len(sets))]
     scores = [l2_curvature_score(fld, trim=config.trim) for fld in fields]
     return RoundTripScore(score=float(scores[0]), score_raw=float(scores[-1]), field=fields[0])

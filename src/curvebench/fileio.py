@@ -31,7 +31,10 @@ def write_point_cloud_csv(path, points, prefix: str = "x") -> None:
 
 
 def read_point_cloud_csv(path, prefix=None) -> np.ndarray:
-    """Read a point-cloud CSV back; validates the header when ``prefix`` given."""
+    """Read a point-cloud CSV back; validates the header when ``prefix`` given.
+
+    Every cell must be a finite number; the first bad cell's line is named.
+    """
     numbered = [
         (lineno, ln) for lineno, ln in enumerate(Path(path).read_text().splitlines(), 1)
         if ln.strip()
@@ -59,7 +62,11 @@ def read_point_cloud_csv(path, prefix=None) -> np.ndarray:
             raise ValueError(f"{path}: non-numeric cell on line {lineno} ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+    points = np.array(rows, dtype=float)
+    bad = ~np.all(np.isfinite(points), axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite cell on line {numbered[1 + np.argmax(bad)][0]}")
+    return points
 
 
 def write_instance_json(path, descriptor: InstanceDescriptor) -> None:

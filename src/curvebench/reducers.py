@@ -236,10 +236,10 @@ def run_external_reducer(
 
     ``command`` is a template containing ``{input}``, ``{output}`` and
     ``{k}`` (and optionally ``{seed}``).  Protocol violations raise
-    distinct error types: nonzero exit, timeout, malformed or missing
-    output, and row-count mismatch.  Without ``workdir`` the protocol files
-    live in a temporary directory that is removed when the call returns or
-    raises.
+    distinct error types: nonzero exit (or a program that cannot start),
+    timeout, malformed, non-finite or missing output, and row-count
+    mismatch.  Without ``workdir`` the protocol files live in a temporary
+    directory that is removed when the call returns or raises.
     """
     X = np.asarray(X, dtype=float)
     for placeholder in REQUIRED_PLACEHOLDERS:
@@ -283,6 +283,9 @@ def run_external_reducer(
         raise protocol_error(ReducerTimeoutError,
                              f"external reducer exceeded {timeout}s and was terminated",
                              exc) from None
+    except OSError as exc:  # missing or not executable: a shell's status 127
+        raise ReducerExitError(f"external reducer could not be started: {exc}",
+                               command=rendered) from None
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         raise protocol_error(ReducerExitError,

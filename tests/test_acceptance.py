@@ -21,8 +21,7 @@ from curvebench.errors import (
 from curvebench.estimation import (
     EstimationConfig,
     curvature_from_metric_field,
-    estimate_curvature_via_function,
-    estimate_curvature_via_metric,
+    estimate_curvature,
     knn_metric_at,
 )
 from curvebench.generator import enumerate_suite
@@ -36,8 +35,8 @@ from curvebench.geometry import (
 from curvebench.reducers import npr, run_external_reducer
 
 H = 1e-3
-CFG_FN = EstimationConfig(method="function_spline", rescale_output=False)
-CFG_KNN = EstimationConfig(method="metric_knn", rescale_output=False)
+CFG_FN = EstimationConfig(method="function_spline")
+CFG_KNN = EstimationConfig(method="metric_knn")
 
 
 def report(number, label):
@@ -84,8 +83,7 @@ def test_criterion_02_flat_space_zero():
     grid = unit_grid(2, 32)
     pts = grid.points()
     for cfg in (CFG_FN, CFG_KNN):
-        fld = (estimate_curvature_via_function if cfg.method == "function_spline"
-               else estimate_curvature_via_metric)(grid, pts, cfg)
+        fld = estimate_curvature(grid, pts, cfg)
         assert l2_curvature_score(fld, trim=2) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -101,8 +99,7 @@ def test_criterion_03_isometry_zero():
     )
     moved = grid.points() @ rot.T + np.array([1.3, -0.2])
     for cfg in (CFG_FN, CFG_KNN):
-        fld = (estimate_curvature_via_function if cfg.method == "function_spline"
-               else estimate_curvature_via_metric)(grid, moved, cfg)
+        fld = estimate_curvature(grid, moved, cfg)
         assert l2_curvature_score(fld, trim=2) < 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -119,9 +116,7 @@ def test_criterion_04_constant_curvature_oracles():
     mats = np.zeros((grid.num_points, 2, 2))
     mats[:, 0, 0] = 1.0
     mats[:, 1, 1] = np.sin(grid.points()[:, 0]) ** 2
-    fld = curvature_from_metric_field(
-        MetricField.from_matrices(grid, mats), EstimationConfig()
-    )
+    fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats))
     assert np.max(np.abs(fld.as_grid()[2:-2, 2:-2, 0] - 1.0)) < 1e-3
     # hyperbolic: diag(1, exp(2 x1))
     hyper_axis = np.linspace(0.0, 0.8, res)
@@ -129,9 +124,7 @@ def test_criterion_04_constant_curvature_oracles():
     mats = np.zeros((grid.num_points, 2, 2))
     mats[:, 0, 0] = 1.0
     mats[:, 1, 1] = np.exp(2 * grid.points()[:, 0])
-    fld = curvature_from_metric_field(
-        MetricField.from_matrices(grid, mats), EstimationConfig()
-    )
+    fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats))
     assert np.max(np.abs(fld.as_grid()[2:-2, 2:-2, 0] + 1.0)) < 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -144,7 +137,7 @@ def test_criterion_05_knn_estimator_sphere_patch():
         errs = []
         for res in (16, 32, 64):
             grid = unit_grid(2, res)
-            fld = estimate_curvature_via_metric(grid, sphere_patch(radius, res), CFG_KNN)
+            fld = estimate_curvature(grid, sphere_patch(radius, res), CFG_KNN)
             axis = grid.axes[0]
             mask = (axis >= 0.3) & (axis <= 0.7)
             window = fld.as_grid()[np.ix_(mask, mask)][..., 0]

@@ -242,11 +242,14 @@ class TestSuite:
         reports = list((tmp_path / "s1" / "reports").glob("*.json"))
         assert len(reports) == 8
 
-    def test_failing_external_runs_are_isolated(self, tmp_path):
+    @pytest.mark.parametrize("program", ["exits", "missing"])
+    def test_failing_external_runs_are_isolated(self, tmp_path, program):
+        # a reducer that exits with status 2, and one that cannot start
         stub = tmp_path / "fail.py"
         stub.write_text("#!/usr/bin/env python3\nimport sys\nsys.exit(2)\n")
         stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
-        method = f"external:{sys.executable} {stub} {{input}} {{output}} {{k}}"
+        launch = f"{sys.executable} {stub}" if program == "exits" else tmp_path / "missing"
+        method = f"external:{launch} {{input}} {{output}} {{k}}"
         assert run([
             "suite", "--methods", f"pca,{method}", "--repeats", "1",
             "--limit", "2", "--resolution", "16",
@@ -562,6 +565,24 @@ class TestPlot:
         )
         assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
         assert f"{summary}:3: expected 7 cells, got 4" in capsys.readouterr().err
+
+    def test_non_finite_embedding_is_reported(self, tmp_path, capsys):
+        emb = tmp_path / "nan.csv"
+        emb.write_text("y1,y2\n0.0,1.0\nnan,2.0\n")
+        out = tmp_path / "x.svg"
+        assert run(["plot", "--input", emb, "--out", out]) == 1
+        assert "non-finite cell on line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_score_on_ok_row_is_reported(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "instance_id,method,repeat,score,score_raw,npr,status\n"
+            "a,pca,1,1.0,1.0,0.5,ok\n"
+            "a,mds,1,inf,2.0,0.4,ok\n"
+        )
+        assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
+        assert f"{summary}:3: non-finite score 'inf' on an ok row" in capsys.readouterr().err
 
     def test_high_dimensional_embedding_rejected(self, tmp_path, capsys):
         emb = tmp_path / "wide.csv"

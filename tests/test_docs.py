@@ -1,6 +1,7 @@
 """The README library example and demos run, and the exports match the docs."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -24,6 +25,20 @@ def test_readme_lists_exactly_the_exports():
     library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
     sentence = re.search(r"The package root exports (.*?)\.\s", library, re.S).group(1)
     assert re.findall(r"`(\w+)`", sentence) == curvebench.__all__
+
+
+def test_library_section_names_resolve():
+    # a backticked name or call in the Library prose is a root export or
+    # lives in one of the submodules that the section points to
+    library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
+    prose = re.sub(r"```.*?```", "", library, flags=re.S)
+    modules = [importlib.import_module(f"curvebench.{name}") for name in
+               ("cli", "generator", "geometry", "estimation", "reducers", "errors")]
+    names = set(re.findall(r"`([A-Za-z_]\w*)[`(]", prose))
+    assert "estimate_curvature" in names
+    stale = sorted(name for name in names if name not in curvebench.__all__
+                   and not any(hasattr(module, name) for module in modules))
+    assert stale == []
 
 
 def test_every_exported_name_resolves():

@@ -1,7 +1,5 @@
 """Spline fields, KNN metric fitting, and the two curvature estimators."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +11,6 @@ from curvebench.estimation import (
     EstimationConfig,
     estimate_curvature,
     estimate_curvature_via_function,
-    estimate_curvature_via_metric,
     estimate_metric_knn,
     curvature_from_metric_field,
     fit_spline,
@@ -33,7 +30,6 @@ from curvebench.geometry import (
 )
 from curvebench.neighbors import nearest_neighbors, squared_distance
 
-CFG_FN = EstimationConfig(method="function_spline", rescale_output=False)
 CFG_KNN = EstimationConfig(method="metric_knn", rescale_output=False)
 
 
@@ -384,7 +380,7 @@ class TestKnnStencil:
 class TestFunctionEstimator:
     def test_identity_is_flat(self):
         grid = unit_grid(2, 32)
-        fld = estimate_curvature_via_function(grid, grid.points(), CFG_FN)
+        fld = estimate_curvature_via_function(grid, grid.points())
         assert np.max(np.abs(fld.values)) < 1e-8
 
     def test_rigid_motion_scores_under_threshold(self):
@@ -392,7 +388,7 @@ class TestFunctionEstimator:
         theta = np.pi / 6
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = grid.points() @ rot.T + np.array([0.4, -1.0])
-        fld = estimate_curvature_via_function(grid, moved, CFG_FN)
+        fld = estimate_curvature_via_function(grid, moved)
         assert l2_curvature_score(fld, trim=2) < 1e-6
 
     def test_parabolic_immersion_is_flat(self):
@@ -400,7 +396,7 @@ class TestFunctionEstimator:
         grid = unit_grid(2, 32)
         pts = grid.points()
         samples = np.column_stack([pts[:, 0], pts[:, 1] + pts[:, 0] ** 2])
-        fld = estimate_curvature_via_function(grid, samples, CFG_FN)
+        fld = estimate_curvature_via_function(grid, samples)
         interior = fld.as_grid()[2:-2, 2:-2]
         assert np.max(np.abs(interior)) < 1e-3
 
@@ -410,44 +406,31 @@ class TestFunctionEstimator:
     def test_sphere_patch_refinement_is_monotone(self, radius):
         errs = []
         for res in (16, 32, 64):
-            fld = estimate_curvature_via_function(
-                unit_grid(2, res), sphere_patch_samples(radius, res), CFG_FN
-            )
+            fld = estimate_curvature_via_function(unit_grid(2, res),
+                                                  sphere_patch_samples(radius, res))
             errs.append(np.max(np.abs(central_window(fld) - 1 / radius**2)) * radius**2)
         assert errs[0] < 1e-3
         assert errs[0] >= errs[1] >= errs[2]
-
-    def test_wrong_method_rejected(self):
-        with pytest.raises(ValueError, match="function_spline"):
-            estimate_curvature_via_function(unit_grid(2, 8), np.zeros((64, 2)), CFG_KNN)
 
 
 class TestMetricEstimator:
     def test_identity_scores_tiny(self):
         grid = unit_grid(2, 32)
-        fld = estimate_curvature_via_metric(grid, grid.points(), CFG_KNN)
+        fld = estimate_curvature(grid, grid.points(), CFG_KNN)
         assert l2_curvature_score(fld, trim=2) < 1e-6
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     def test_sphere_patch_recovers_curvature(self, radius):
-        fld = estimate_curvature_via_metric(
-            unit_grid(2, 32), sphere_patch_samples(radius, 32), CFG_KNN
-        )
+        fld = estimate_curvature(unit_grid(2, 32), sphere_patch_samples(radius, 32), CFG_KNN)
         window = central_window(fld)
         assert np.max(np.abs(window - 1 / radius**2)) < 0.05 / radius**2
 
     def test_mesh_refinement_is_monotone(self):
         errs = []
         for res in (16, 32):
-            fld = estimate_curvature_via_metric(
-                unit_grid(2, res), sphere_patch_samples(1.0, res), CFG_KNN
-            )
+            fld = estimate_curvature(unit_grid(2, res), sphere_patch_samples(1.0, res), CFG_KNN)
             errs.append(np.max(np.abs(central_window(fld) - 1.0)))
         assert errs[1] <= errs[0]
-
-    def test_wrong_method_rejected(self):
-        with pytest.raises(ValueError, match="metric_knn"):
-            estimate_curvature_via_metric(unit_grid(2, 8), np.zeros((64, 2)), CFG_FN)
 
 
 class TestRigidMotionProperty:
@@ -515,7 +498,7 @@ class TestStackedSweep:
 
     @staticmethod
     def check_stacked_equals_one_set_calls(grid, k, method, mode, sets):
-        cfg = EstimationConfig(method=method, mode=mode, k_neighbors=k, rescale_output=False)
+        cfg = EstimationConfig(method=method, mode=mode, k_neighbors=k)
         stacked = estimate_curvature(grid, sets, cfg)
         singles = [estimate_curvature(grid, one, cfg) for one in sets]
         num = grid.num_points
@@ -575,8 +558,8 @@ class TestStackedSweep:
         cfg = EstimationConfig(method=method, mode=mode, k_neighbors=k, trim=1,
                                rescale_output=rescale)
         result = roundtrip_score(grid, sets[0], cfg)
-        fld = estimate_curvature(grid, sets[0], cfg)
-        raw = estimate_curvature(grid, sets[0], replace(cfg, rescale_output=False))
+        fld = estimate_curvature(grid, rescale_to_unit_box(sets[0]) if rescale else sets[0], cfg)
+        raw = estimate_curvature(grid, sets[0], cfg)
         assert result.score == l2_curvature_score(fld, trim=1)
         assert result.score_raw == l2_curvature_score(raw, trim=1)
         assert result.field.values.tobytes() == fld.values.tobytes()
@@ -589,12 +572,8 @@ class TestMethodAgreement:
         # must land within 20% of each other
         grid = unit_grid(2, 32)
         samples = sphere_patch_samples(1.0, 32)
-        s_fn = l2_curvature_score(
-            estimate_curvature_via_function(grid, samples, CFG_FN), trim=2
-        )
-        s_knn = l2_curvature_score(
-            estimate_curvature_via_metric(grid, samples, CFG_KNN), trim=2
-        )
+        s_fn = l2_curvature_score(estimate_curvature_via_function(grid, samples), trim=2)
+        s_knn = l2_curvature_score(estimate_curvature(grid, samples, CFG_KNN), trim=2)
         assert abs(s_fn - s_knn) / s_fn < 0.2
 
 
@@ -611,14 +590,22 @@ class TestRescaling:
         scaled = rescale_to_unit_box(pts)
         assert np.allclose(scaled[:, 1], 0.0)
 
-    def test_score_invariant_under_similarity_when_rescaling(self):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scale=st.floats(0.1, 10.0),
+        shift=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        method=st.sampled_from(["metric_knn", "function_spline"]),
+    )
+    def test_score_invariant_under_similarity_when_rescaling(self, scale, shift, method):
+        # the rescale maps c * Y + t and Y onto the same unit box; the raw
+        # pullback metric is c^2 times Y's, so its curvature is 1/c^2 times
         grid = unit_grid(2, 16)
-        cfg = EstimationConfig(method="metric_knn", rescale_output=True)
-        base = sphere_patch_samples(1.0, 16)[:, :2]  # arbitrary smooth 2-D data
+        cfg = EstimationConfig(method=method, rescale_output=True)
+        base = sphere_patch_samples(1.0, 16)
         r1 = roundtrip_score(grid, base, cfg)
-        r2 = roundtrip_score(grid, 3.0 * base + 11.0, cfg)
-        assert r1.score == pytest.approx(r2.score, rel=1e-8)
-        assert r1.score_raw != pytest.approx(r2.score_raw, rel=1e-3)
+        r2 = roundtrip_score(grid, scale * base + np.array(shift), cfg)
+        assert r2.score == pytest.approx(r1.score, rel=1e-8)
+        assert r2.score_raw == pytest.approx(r1.score_raw / scale**2, rel=1e-8)
 
 
 class TestRoundTripScore:
@@ -631,9 +618,7 @@ class TestRoundTripScore:
         # sanity: splining an analytic constant metric keeps K at zero
         grid = unit_grid(2, 16)
         mats = np.tile(np.diag([2.0, 5.0]), (grid.num_points, 1, 1))
-        fld = curvature_from_metric_field(
-            MetricField.from_matrices(grid, mats), EstimationConfig()
-        )
+        fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats))
         assert np.max(np.abs(fld.values)) < 1e-9
 
     @pytest.mark.parametrize("mode", ["standard", "paper_sqrt"])
@@ -644,9 +629,7 @@ class TestRoundTripScore:
         mats = np.tile(np.eye(2), (grid.num_points, 1, 1))
         node = 5 * 12 + 6
         mats[node] = np.diag([1.0, 0.0])
-        fld = curvature_from_metric_field(
-            MetricField.from_matrices(grid, mats), EstimationConfig(mode=mode)
-        )
+        fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats), mode)
         assert fld.diagnostics["degenerate_nodes"] == [node]
         assert fld.diagnostics["floored_plane_nodes"] == [node]
         assert fld.diagnostics["regularization"] > 0.0

@@ -41,6 +41,13 @@ class TestPointCloudCsv:
         with pytest.raises(ValueError, match="ragged rows \\(line 4 "):
             fileio.read_point_cloud_csv(path, prefix="y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reported_with_its_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y1,y2\n1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(ValueError, match="non-finite cell on line 4"):
+            fileio.read_point_cloud_csv(path, prefix="y")
+
     def test_repeated_writes_are_byte_identical(self, tmp_path):
         pts = np.array([[1 / 3, np.pi], [-1e-17, 2e300]])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

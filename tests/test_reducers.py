@@ -256,6 +256,12 @@ print("partial error", file=sys.stderr, flush=True)
 time.sleep(30)
 """
 
+NAN_STUB = """
+import sys
+dst = sys.argv[2]
+open(dst, "w").write("y1,y2\\n0.0,1.0\\nnan,2.0\\n3.0,4.0\\n")
+"""
+
 FAIL_STUB = """
 import sys
 sys.stderr.write("deliberate failure\\n")
@@ -309,6 +315,26 @@ class TestExternalReducer:
                 self.command(stub), np.zeros((3, 2)), 2,
                 timeout=30, workdir=tmp_path / "run",
             )
+
+    def test_non_finite_output_error(self, tmp_path):
+        stub = write_stub(tmp_path, "nan.py", NAN_STUB)
+        with pytest.raises(ReducerOutputError, match="non-finite cell on line 3"):
+            run_external_reducer(
+                self.command(stub), np.zeros((3, 2)), 2,
+                timeout=30, workdir=tmp_path / "run",
+            )
+
+    @pytest.mark.parametrize("case", ["missing", "not-executable"])
+    def test_program_that_cannot_start_is_an_exit_error(self, tmp_path, case):
+        program = tmp_path / "reduce"
+        if case == "not-executable":
+            program.write_text("#!/bin/sh\n")
+        with pytest.raises(ReducerExitError, match="could not be started") as err:
+            run_external_reducer(
+                f"{program} {{input}} {{output}} {{k}}", np.zeros((3, 2)), 2,
+                timeout=30, workdir=tmp_path / "run",
+            )
+        assert err.value.command.startswith(str(program))
 
     def test_no_temp_dir_left_behind(self, tmp_path, monkeypatch):
         scratch = tmp_path / "tmp"

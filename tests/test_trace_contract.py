@@ -9,6 +9,8 @@ missing; here it fails a test.
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
@@ -25,18 +27,16 @@ from curvebench import (  # noqa: E402
     unit_grid,
 )
 
-SCORE_SPANS = {
-    "cli.score_embedding",
-    "estimation.knn_fit",
-    "estimation.metric_curvature",
-    "geometry.l2_score",
-    "reducers.npr",
+SCORE_SPANS = {"cli.score_embedding", "geometry.l2_score", "reducers.npr"}
+SCORE_COUNTS = {"geometry.degenerate_nodes", "geometry.floored_plane_nodes"}
+# the spans and counts that only one estimator's route records
+ESTIMATOR_SPANS = {
+    "metric_knn": {"estimation.knn_fit", "estimation.metric_curvature"},
+    "function_spline": {"estimation.function_spline"},
 }
-SCORE_COUNTS = {
-    "estimation.failed_nodes",
-    "estimation.clamped_nodes",
-    "geometry.degenerate_nodes",
-    "geometry.floored_plane_nodes",
+ESTIMATOR_COUNTS = {
+    "metric_knn": {"estimation.failed_nodes", "estimation.clamped_nodes"},
+    "function_spline": set(),
 }
 
 
@@ -49,14 +49,18 @@ def test_every_probe_target_resolves():
     assert missing == []
 
 
-def test_traced_score_records_every_layer():
+@pytest.mark.parametrize("method", ["metric_knn", "function_spline"])
+def test_traced_score_records_every_layer(method):
     desc = enumerate_suite(grid_resolution=16)[0]
     X = makegen(desc).evaluate(unit_grid(desc.n, 16).points()).points
     Y = reduce_dataset("pca", X, desc.n).Y
     original = cli.score_embedding
     tracer = tracing.Tracer()
     with tracing.Instrumented(tracer, program.probes()):
-        cli.score_embedding(desc, Y, EstimationConfig())
-    assert SCORE_SPANS <= {span.name for span in tracer.spans}
-    assert SCORE_COUNTS <= set(tracer.counts)
+        cli.score_embedding(desc, Y, EstimationConfig(method=method))
+    spans = {span.name for span in tracer.spans}
+    assert SCORE_SPANS | ESTIMATOR_SPANS[method] <= spans
+    other = "function_spline" if method == "metric_knn" else "metric_knn"
+    assert not spans & ESTIMATOR_SPANS[other]
+    assert SCORE_COUNTS | ESTIMATOR_COUNTS[method] <= set(tracer.counts)
     assert cli.score_embedding is original
