@@ -26,7 +26,8 @@ for families, thetas in INSTANCES:
     descriptor = make_descriptor(families, thetas, eta=0.01, seed=7)
     dataset = makegen(descriptor).evaluate(grid).points
     for method in ("pca", "tsvd", "mds"):
-        emb = reduce_dataset(method, dataset, 2, mds_max_iter=150, mds_tol=1e-7)
+        emb = reduce_dataset(method, dataset, 2,
+                             hyperparameters={"max_iter": 150, "tol": 1e-7})
         report = score_embedding(descriptor, emb.Y, config)
         label = "-".join(f"{f}{t}" for f, t in zip(families, thetas))
         print(f"{label:>28} {method:>6} {report['curvature_score']:>16.4g} "

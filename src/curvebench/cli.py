@@ -68,24 +68,34 @@ def _add_estimator_flags(parser):
                         help="neighborhood size for the NPR baseline")
 
 
+def _mds_settings(args, method: str) -> dict:
+    """The ``--mds-*`` flags as ``method``'s hyperparameters; none unless MDS."""
+    return {"max_iter": args.mds_max_iter, "tol": args.mds_tol} if method == "mds" else {}
+
+
+def _dataset(descriptor: InstanceDescriptor, rotation=None) -> np.ndarray:
+    """The instance's (N, m) point cloud on its unit grid."""
+    grid = unit_grid(descriptor.n, descriptor.grid_resolution)
+    return makegen(descriptor, rotation=rotation).evaluate(grid.points()).points
+
+
 def _write_dataset(descriptor: InstanceDescriptor, out_dir: Path,
                    identity_rotation: bool = False) -> Path:
-    imap = makegen(
-        descriptor,
-        rotation=np.eye(descriptor.m) if identity_rotation else None,
-    )
-    grid = unit_grid(descriptor.n, descriptor.grid_resolution).points()
-    cloud = imap.evaluate(grid)
+    cloud = _dataset(descriptor, np.eye(descriptor.m) if identity_rotation else None)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_instance_json(out_dir / f"{descriptor.instance_id}.json", descriptor)
     csv_path = out_dir / f"{descriptor.instance_id}.csv"
-    fileio.write_point_cloud_csv(csv_path, cloud.points, prefix="x")
+    fileio.write_point_cloud_csv(csv_path, cloud, prefix="x")
     return csv_path
 
 
-def _check_scoring_args(grid, trim: int, kn: int) -> None:
-    """Reject a ``trim`` or NPR ``kn`` that ``grid`` cannot support."""
-    check_trim(grid.shape, trim)
+def _check_scoring_args(grid, config: EstimationConfig, kn: int) -> None:
+    """Reject a ``trim``, KNN ``k_neighbors`` or NPR ``kn`` that ``grid``
+    cannot support."""
+    check_trim(grid.shape, config.trim)
+    if config.method == "metric_knn" and not grid.n < config.k_neighbors < grid.num_points:
+        raise ValueError(f"k_neighbors must be in [{grid.n + 1}, {grid.num_points - 1}], "
+                         f"got {config.k_neighbors}")
     check_kn(grid.num_points, kn)
 
 
@@ -97,7 +107,7 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
     ``dataset`` is supplied (e.g. read back from a generated CSV).
     """
     grid = unit_grid(descriptor.n, descriptor.grid_resolution)
-    _check_scoring_args(grid, config.trim, kn)
+    _check_scoring_args(grid, config, kn)
     npts = grid.num_points
     Y = np.asarray(Y, dtype=float)
     if Y.shape[0] != npts:
@@ -124,7 +134,7 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
             f"{len(suspect)}/{npts} nodes degenerate; embedding too collapsed to assess"
         )
     if dataset is None:
-        dataset = makegen(descriptor).evaluate(grid.points()).points
+        dataset = _dataset(descriptor)
     npr_value = npr(dataset, Y, kn=kn)
     return {
         "instance_id": descriptor.instance_id,
@@ -178,9 +188,8 @@ def cmd_generate(args) -> int:
 def cmd_reduce(args) -> int:
     X = fileio.read_point_cloud_csv(args.dataset, prefix="x")
     result = reduce_dataset(
-        args.method, X, args.k, seed=_master_seed(args),
-        mds_max_iter=args.mds_max_iter, mds_tol=args.mds_tol,
-        timeout=args.timeout,
+        args.method, X, args.k, seed=_master_seed(args), timeout=args.timeout,
+        hyperparameters=_mds_settings(args, args.method),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -228,7 +237,7 @@ def _run_suite_job(job):
 
     Module-level so it can cross a process pool boundary.
     """
-    desc_obj, method, repeat, config, kn, mds_opts, hyperparameters = job
+    desc_obj, method, repeat, config, kn, hyperparameters = job
     descriptor = replace(
         desc_obj, seed=derive_seed(desc_obj.seed, f"repeat-{repeat}")
     )
@@ -239,15 +248,10 @@ def _run_suite_job(job):
         "status": "ok",
     }
     try:
-        imap = makegen(descriptor)
-        grid = unit_grid(descriptor.n, descriptor.grid_resolution)
-        X = imap.evaluate(grid.points()).points
+        X = _dataset(descriptor)
         reducer_seed = derive_seed(descriptor.seed, f"{method}-reduce")
-        result = reduce_dataset(
-            method, X, descriptor.n, seed=reducer_seed,
-            mds_max_iter=mds_opts[0], mds_tol=mds_opts[1],
-            hyperparameters=hyperparameters,
-        )
+        result = reduce_dataset(method, X, descriptor.n, seed=reducer_seed,
+                                hyperparameters=hyperparameters)
         scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
         report.update(scored)
         report["method"] = method
@@ -278,6 +282,10 @@ def cmd_suite(args) -> int:
     if not methods:
         print("suite: need at least one method", file=sys.stderr)
         return 2
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            print(f"suite: method {method!r} appears twice in --methods", file=sys.stderr)
+            return 2
     master_seed = _master_seed(args)
     descriptors = enumerate_suite(
         theta_easy=args.theta_easy,
@@ -291,11 +299,12 @@ def cmd_suite(args) -> int:
     config = _estimator_config(args)
     try:
         for n in {d.n for d in descriptors}:
-            _check_scoring_args(unit_grid(n, args.resolution), config.trim, args.kn)
+            _check_scoring_args(unit_grid(n, args.resolution), config, args.kn)
     except ValueError as exc:
         print(f"suite: {exc} (--resolution {args.resolution})", file=sys.stderr)
         return 2
 
+    settings = {method: _mds_settings(args, method) for method in methods}
     tuned = {}
     if args.tune_space:
         space = _read_space(args.tune_space)
@@ -304,7 +313,7 @@ def cmd_suite(args) -> int:
                 tuned[method] = tune_hyperparameters(
                     method, space[method], args.tune_budget, descriptors[0],
                     config, seed=derive_seed(master_seed, f"tune-{method}"),
-                    objective=args.objective, kn=args.kn,
+                    objective=args.objective, kn=args.kn, settings=settings[method],
                 )["hyperparameters"]
     out_dir = Path(args.out_dir)
     reports_dir = out_dir / "reports"
@@ -312,8 +321,7 @@ def cmd_suite(args) -> int:
 
     # one repeat's jobs share a dataset and run back to back, so npr's cache serves them
     jobs = [
-        (desc, method, repeat, config, args.kn,
-         (args.mds_max_iter, args.mds_tol), tuned.get(method))
+        (desc, method, repeat, config, args.kn, {**settings[method], **tuned.get(method, {})})
         for desc in descriptors
         for repeat in range(1, args.repeats + 1)
         for method in methods
@@ -443,9 +451,11 @@ def _sample_space(space: dict, rng: np.random.Generator) -> dict:
 def tune_hyperparameters(method: str, space: dict, budget: int,
                          descriptor: InstanceDescriptor, config: EstimationConfig,
                          seed: int = 0, objective: str = "curvature",
-                         kn: int = DEFAULT_KN) -> dict:
+                         kn: int = DEFAULT_KN, settings=None) -> dict:
     """Seeded uniform random search; returns the best configuration.
 
+    Each draw is laid over the fixed hyperparameters ``settings`` before
+    the reducer runs; only the drawn values are reported.
     ``objective='curvature'`` minimizes the curvature score,
     ``objective='npr'`` maximizes NPR.  Failed runs count as infinitely
     bad; ties go to the earliest draw.
@@ -455,10 +465,9 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
     if objective not in ("curvature", "npr"):
         raise ValueError(f"objective must be 'curvature' or 'npr', got {objective!r}")
     grid = unit_grid(descriptor.n, descriptor.grid_resolution)
-    _check_scoring_args(grid, config.trim, kn)
+    _check_scoring_args(grid, config, kn)
     rng = np.random.default_rng(seed)
-    imap = makegen(descriptor)
-    X = imap.evaluate(grid.points()).points
+    X = _dataset(descriptor)
 
     best = None
     draws = []
@@ -466,7 +475,8 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
         draw = {"hyperparameters": _sample_space(space, rng)}
         try:
             result = reduce_dataset(method, X, descriptor.n, seed=seed,
-                                    hyperparameters=draw["hyperparameters"])
+                                    hyperparameters={**(settings or {}),
+                                                     **draw["hyperparameters"]})
             scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
             draw["objective"] = scored["curvature_score"] if objective == "curvature" \
                 else -scored["npr"]

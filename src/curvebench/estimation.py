@@ -33,7 +33,6 @@ from . import geometry
 from .errors import MetricEstimationError
 from .geometry import (
     EIG_FLOOR,
-    MetricField,
     SectionalCurvatureField,
     TensorGrid,
     christoffel,
@@ -239,10 +238,11 @@ def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
 
     The neighbors come from :func:`knn_stencil`, so each (grid, k) is
     searched once per process; the nodes are fitted :data:`KNN_CHUNK` at a
-    time, every set of a stack in the same call.  Returns (MetricField,
-    diagnostics), the field stacked as the samples are.  Eigenvalues below
-    the inversion floor are clamped so curvature can proceed; clamped and
-    failed nodes are listed in the diagnostics, node i of set s as s * N + i.
+    time, every set of a stack in the same call.  Returns (metrics,
+    diagnostics), the symmetric ([S,] N, n, n) metrics stacked as the samples
+    are.  Eigenvalues below the inversion floor are clamped so curvature can
+    proceed; clamped and failed nodes are listed in the diagnostics, node i
+    of set s as s * N + i.
     """
     f_samples = np.asarray(f_samples, dtype=float)
     pts = grid.points()
@@ -267,13 +267,13 @@ def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
     w, vecs = np.linalg.eigh(mats)
     clamped = np.any(w < EIG_FLOOR, axis=-1)
     w, vecs = w[clamped], vecs[clamped]
-    mats[clamped] = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(w, EIG_FLOOR), vecs)
+    fixed = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(w, EIG_FLOOR), vecs)
+    mats[clamped] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
     diagnostics = {
         "failed_nodes": _node_list(failed),
         "clamped_nodes": _node_list(clamped),
     }
-    mats = mats.reshape(f_samples.shape[:-2] + mats.shape[1:])
-    return MetricField.from_matrices(grid, mats), diagnostics
+    return mats.reshape(f_samples.shape[:-2] + mats.shape[1:]), diagnostics
 
 
 def _stacked_derivatives(grid: TensorGrid, sets, orders) -> list:
@@ -344,18 +344,24 @@ def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
     return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
 
 
-def curvature_from_metric_field(metric: MetricField, mode: str = "standard"):
-    """Sectional curvature of a sampled metric, derivatives from splines.
+def curvature_from_metric_field(grid: TensorGrid, metrics, mode: str = "standard"):
+    """Sectional curvature of ([S,] N, n, n) metrics sampled at the grid
+    nodes, derivatives from splines.
 
-    Each of the n(n+1)/2 stored components is splined over the grid; the
-    metric and its first two derivatives are then read off the splines.  The
-    metrics of a stacked field share one spline fit and its basis.
+    Each of the n(n+1)/2 components of the symmetrized metric is splined
+    over the grid; the metric and its first two derivatives are then read
+    off the splines.  The sets of a stack share one spline fit and its basis.
     """
-    grid = metric.grid
-    sets = metric.packed.reshape((-1,) + metric.packed.shape[-2:])
-    g, dg, d2g = (unpack_symmetric(derivs, grid.n)
-                  for derivs in _stacked_derivatives(grid, sets, (0, 1, 2)))
-    return _sectional_from_metric_data(grid, metric.packed.shape[:-2], g, dg, d2g, mode)
+    metrics = np.asarray(metrics, dtype=float)
+    n = grid.n
+    if metrics.ndim not in (3, 4) or metrics.shape[-3:] != (grid.num_points, n, n):
+        raise ValueError("metric array must have shape ([S,] N, n, n)")
+    sets = metrics.reshape((-1,) + metrics.shape[-3:])
+    packed = np.stack([0.5 * (sets[..., i, j] + sets[..., j, i]) for i, j in sym_indices(n)],
+                      axis=-1)
+    g, dg, d2g = (unpack_symmetric(derivs, n)
+                  for derivs in _stacked_derivatives(grid, packed, (0, 1, 2)))
+    return _sectional_from_metric_data(grid, metrics.shape[:-3], g, dg, d2g, mode)
 
 
 def estimate_curvature(grid, f_samples, config: EstimationConfig):
@@ -364,8 +370,8 @@ def estimate_curvature(grid, f_samples, config: EstimationConfig):
     diagnostics to the field's."""
     if config.method == "function_spline":
         return estimate_curvature_via_function(grid, f_samples, config.mode)
-    metric, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
-    fld = curvature_from_metric_field(metric, config.mode)
+    metrics, knn_diag = estimate_metric_knn(grid, f_samples, config.k_neighbors)
+    fld = curvature_from_metric_field(grid, metrics, config.mode)
     return replace(fld, diagnostics={**fld.diagnostics, **knn_diag})
 
 

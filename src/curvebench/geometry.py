@@ -250,46 +250,6 @@ def unit_grid(n: int, resolution: int) -> TensorGrid:
 
 
 @dataclass(frozen=True)
-class MetricField:
-    """Symmetric metric matrices on a tensor grid, upper triangle stored.
-
-    ``packed`` is (N, n(n+1)/2), or (S, N, n(n+1)/2) for a stack of S
-    metrics on the same grid.
-    """
-
-    grid: TensorGrid
-    packed: np.ndarray
-
-    def __post_init__(self):
-        packed = np.asarray(self.packed, dtype=float)
-        expect = (self.grid.num_points, len(sym_indices(self.grid.n)))
-        if packed.ndim not in (2, 3) or packed.shape[-2:] != expect:
-            raise ValueError(f"packed metric must have shape ([S,] {expect[0]}, {expect[1]})")
-        object.__setattr__(self, "packed", packed)
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def matrices(self) -> np.ndarray:
-        """Full symmetric ([S,] N, n, n) copy of the stored upper triangles."""
-        packed = self.packed
-        flat = unpack_symmetric(packed.reshape(-1, packed.shape[-1]), self.n)
-        return flat.reshape(packed.shape[:-1] + (self.n, self.n))
-
-    @classmethod
-    def from_matrices(cls, grid: TensorGrid, mats):
-        """Field of ([S,] N, n, n) matrices, symmetrized."""
-        mats = np.asarray(mats, dtype=float)
-        n = grid.n
-        if mats.ndim not in (3, 4) or mats.shape[-3:] != (grid.num_points, n, n):
-            raise ValueError("metric array must have shape ([S,] N, n, n)")
-        sym = 0.5 * (mats + mats.swapaxes(-1, -2))
-        packed = np.stack([sym[..., i, j] for (i, j) in sym_indices(n)], axis=-1)
-        return cls(grid=grid, packed=packed)
-
-
-@dataclass(frozen=True)
 class SectionalCurvatureField:
     """Sectional curvature of every coordinate pair at every grid node.
 

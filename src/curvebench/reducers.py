@@ -229,7 +229,6 @@ def run_external_reducer(
     X,
     k: int,
     timeout: float = 300.0,
-    workdir=None,
     seed: int = 0,
 ) -> EmbeddingResult:
     """Run an external reducer subprocess over the CSV protocol.
@@ -238,83 +237,78 @@ def run_external_reducer(
     ``{k}`` (and optionally ``{seed}``).  Protocol violations raise
     distinct error types: nonzero exit (or a program that cannot start),
     timeout, malformed, non-finite or missing output, and row-count
-    mismatch.  Without ``workdir`` the protocol files live in a temporary
-    directory that is removed when the call returns or raises.
+    mismatch.  The protocol files live in a temporary directory that is
+    removed when the call returns or raises.
     """
     X = np.asarray(X, dtype=float)
     for placeholder in REQUIRED_PLACEHOLDERS:
         if placeholder not in command:
             raise ValueError(f"command template must contain {placeholder}")
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="curvebench-reducer-") as tmp:
-            return run_external_reducer(
-                command, X, k, timeout=timeout, workdir=tmp, seed=seed
-            )
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    input_path = workdir / "input.csv"
-    output_path = workdir / "output.csv"
-    fileio.write_point_cloud_csv(input_path, X, prefix="x")
+    with tempfile.TemporaryDirectory(prefix="curvebench-reducer-") as tmp:
+        input_path = Path(tmp) / "input.csv"
+        output_path = Path(tmp) / "output.csv"
+        fileio.write_point_cloud_csv(input_path, X, prefix="x")
 
-    try:
-        rendered = command.format(
-            input=str(input_path), output=str(output_path), k=k, seed=seed
+        try:
+            rendered = command.format(input=str(input_path), output=str(output_path),
+                                      k=k, seed=seed)
+        except (KeyError, IndexError, AttributeError) as exc:
+            raise ValueError(
+                f"unresolved placeholder {exc} in reducer command template; "
+                "hyperparameter names must be supplied"
+            ) from None
+        argv = shlex.split(rendered)
+
+        def protocol_error(error, message, run):
+            """``error`` carrying the rendered command and ``run``'s output as
+            str: a timeout hands back partial output as bytes (or None)."""
+            out, err = (text.decode(errors="replace") if isinstance(text, bytes) else text or ""
+                        for text in (run.stdout, run.stderr))
+            return error(message, command=rendered, stdout=out, stderr=err)
+
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=tmp)
+        except subprocess.TimeoutExpired as exc:
+            raise protocol_error(ReducerTimeoutError,
+                                 f"external reducer exceeded {timeout}s and was terminated",
+                                 exc) from None
+        except OSError as exc:  # missing or not executable: a shell's status 127
+            raise ReducerExitError(f"external reducer could not be started: {exc}",
+                                   command=rendered) from None
+        elapsed = time.perf_counter() - start
+        if proc.returncode != 0:
+            raise protocol_error(ReducerExitError,
+                                 f"external reducer exited with status {proc.returncode}", proc)
+        if not output_path.exists():
+            raise protocol_error(ReducerOutputError, "external reducer wrote no output file", proc)
+        try:
+            Y = fileio.read_point_cloud_csv(output_path, prefix="y")
+        except ValueError as exc:
+            raise protocol_error(ReducerOutputError, f"malformed reducer output: {exc}",
+                                 proc) from None
+        if Y.shape[0] != X.shape[0]:
+            raise protocol_error(ReducerRowCountError,
+                                 f"expected {X.shape[0]} embedding rows, got {Y.shape[0]}", proc)
+        if Y.shape[1] != k:
+            raise protocol_error(ReducerOutputError,
+                                 f"expected {k} embedding columns, got {Y.shape[1]}", proc)
+        return EmbeddingResult(
+            Y=Y,
+            method="external",
+            hyperparameters={"command": command, "k": k, "seed": seed},
+            wall_time=elapsed,
         )
-    except (KeyError, IndexError) as exc:
-        raise ValueError(
-            f"unresolved placeholder {exc} in reducer command template; "
-            "hyperparameter names must be supplied"
-        ) from None
-    argv = shlex.split(rendered)
-
-    def protocol_error(error, message, run):
-        """``error`` carrying the rendered command and ``run``'s output as
-        str: a timeout hands back partial output as bytes (or None)."""
-        out, err = (text.decode(errors="replace") if isinstance(text, bytes) else text or ""
-                    for text in (run.stdout, run.stderr))
-        return error(message, command=rendered, stdout=out, stderr=err)
-
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=timeout, cwd=workdir
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise protocol_error(ReducerTimeoutError,
-                             f"external reducer exceeded {timeout}s and was terminated",
-                             exc) from None
-    except OSError as exc:  # missing or not executable: a shell's status 127
-        raise ReducerExitError(f"external reducer could not be started: {exc}",
-                               command=rendered) from None
-    elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise protocol_error(ReducerExitError,
-                             f"external reducer exited with status {proc.returncode}", proc)
-    if not output_path.exists():
-        raise protocol_error(ReducerOutputError, "external reducer wrote no output file", proc)
-    try:
-        Y = fileio.read_point_cloud_csv(output_path, prefix="y")
-    except ValueError as exc:
-        raise protocol_error(ReducerOutputError, f"malformed reducer output: {exc}",
-                             proc) from None
-    if Y.shape[0] != X.shape[0]:
-        raise protocol_error(ReducerRowCountError,
-                             f"expected {X.shape[0]} embedding rows, got {Y.shape[0]}", proc)
-    if Y.shape[1] != k:
-        raise protocol_error(ReducerOutputError,
-                             f"expected {k} embedding columns, got {Y.shape[1]}", proc)
-    return EmbeddingResult(
-        Y=Y,
-        method="external",
-        hyperparameters={"command": command, "k": k, "seed": seed},
-        wall_time=elapsed,
-    )
 
 
 def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
-                   mds_max_iter: int = 300, mds_tol: float = 1e-9,
                    timeout: float = 300.0, hyperparameters=None) -> EmbeddingResult:
-    """Dispatch a method spec: 'pca', 'tsvd', 'mds' or 'external:<command>'."""
+    """Dispatch a method spec: 'pca', 'tsvd', 'mds' or 'external:<command>'.
+
+    MDS reads ``max_iter`` and ``tol`` from ``hyperparameters``, each
+    defaulting to :func:`mds_project`'s; an external command has every
+    hyperparameter substituted into its template.
+    """
     hyperparameters = dict(hyperparameters or {})
     if method == "pca":
         return pca_project(X, k)
@@ -322,13 +316,14 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
         return truncated_svd_project(X, k)
     if method == "mds":
         opts = {}
-        for name, cast, default in (("max_iter", int, mds_max_iter), ("tol", float, mds_tol)):
-            value = hyperparameters.get(name, default)
-            try:
-                opts[name] = cast(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"mds hyperparameter {name!r} must be a number, "
-                                 f"got {value!r}") from None
+        for name, cast in (("max_iter", int), ("tol", float)):
+            if name in hyperparameters:
+                value = hyperparameters[name]
+                try:
+                    opts[name] = cast(value)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"mds hyperparameter {name!r} must be a number, "
+                                     f"got {value!r}") from None
         return mds_project(X, k, **opts)
     if method.startswith("external:"):
         command = method.split(":", 1)[1]

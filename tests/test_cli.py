@@ -160,13 +160,14 @@ class TestReduceAndScore:
         with pytest.raises(ValueError, match="dataset entries must be finite"):
             score_embedding(descriptor, X[:, :2], config, dataset=bad_x)
 
-    @pytest.mark.parametrize("trim,kn,match", [
-        (8, 10, "trim=8 leaves fewer than 2 interior nodes"),
-        (2, 0, r"kn must be in \[1, 255\], got 0"),
-        (2, 256, r"kn must be in \[1, 255\], got 256"),
+    @pytest.mark.parametrize("trim,kn,match,k_neighbors", [
+        (8, 10, "trim=8 leaves fewer than 2 interior nodes", 8),
+        (2, 0, r"kn must be in \[1, 255\], got 0", 8),
+        (2, 256, r"kn must be in \[1, 255\], got 256", 8),
+        (2, 10, r"k_neighbors must be in \[3, 255\], got 2", 2),
     ])
     def test_bad_trim_or_kn_rejected_before_any_fit(self, tmp_path, monkeypatch,
-                                                    trim, kn, match):
+                                                    trim, kn, match, k_neighbors):
         inst, csv = generate_flat(tmp_path)
         descriptor = fileio.read_instance_json(inst)
         X = fileio.read_point_cloud_csv(csv, prefix="x")
@@ -176,7 +177,8 @@ class TestReduceAndScore:
 
         monkeypatch.setattr(cli, "roundtrip_score", no_fit)
         with pytest.raises(ValueError, match=match):
-            score_embedding(descriptor, X[:, :2], EstimationConfig(trim=trim), kn=kn,
+            score_embedding(descriptor, X[:, :2],
+                            EstimationConfig(trim=trim, k_neighbors=k_neighbors), kn=kn,
                             dataset=X)
 
     def test_two_scores_search_the_grid_once(self, tmp_path, monkeypatch):
@@ -242,13 +244,15 @@ class TestSuite:
         reports = list((tmp_path / "s1" / "reports").glob("*.json"))
         assert len(reports) == 8
 
-    @pytest.mark.parametrize("program", ["exits", "missing"])
+    @pytest.mark.parametrize("program", ["exits", "missing", "attribute"])
     def test_failing_external_runs_are_isolated(self, tmp_path, program):
-        # a reducer that exits with status 2, and one that cannot start
+        # a reducer that exits with status 2, one that cannot start, and a
+        # template whose placeholder reads an attribute of the input path
         stub = tmp_path / "fail.py"
         stub.write_text("#!/usr/bin/env python3\nimport sys\nsys.exit(2)\n")
         stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
-        launch = f"{sys.executable} {stub}" if program == "exits" else tmp_path / "missing"
+        launch = {"exits": f"{sys.executable} {stub}", "missing": tmp_path / "missing",
+                  "attribute": "true {input.foo}"}[program]
         method = f"external:{launch} {{input}} {{output}} {{k}}"
         assert run([
             "suite", "--methods", f"pca,{method}", "--repeats", "1",
@@ -270,7 +274,8 @@ class TestSuite:
         ]) == 1
 
     @pytest.mark.parametrize("flag,value", [("--limit", "-59"), ("--repeats", "0"),
-                                            ("--workers", "0"), ("--workers", "-2")])
+                                            ("--workers", "0"), ("--workers", "-2"),
+                                            ("--methods", "pca,pca")])
     def test_out_of_range_counts_rejected_before_any_work(self, tmp_path, capsys, flag, value):
         out_dir = tmp_path / "bad"
         assert run([
@@ -282,6 +287,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("flags", [
         ["--trim", "8"], ["--kn", "0"], ["--kn", "256"], ["--methods", "mds", "--kn", "300"],
+        ["--k-neighbors", "2"], ["--k-neighbors", "256"],
     ])
     def test_bad_trim_or_kn_rejected_before_any_job(self, tmp_path, monkeypatch, capsys,
                                                     flags):
@@ -295,7 +301,8 @@ class TestSuite:
             *flags, "--out-dir", out_dir,
         ]) == 2
         err = capsys.readouterr().err
-        assert "--resolution 16" in err and ("trim=8" in err or "kn must be" in err)
+        assert "--resolution 16" in err
+        assert "trim=8" in err or "kn must be" in err or "k_neighbors must be" in err
         assert not out_dir.exists()
 
     def test_repeats_share_the_npr_dataset_cache(self, tmp_path):
@@ -523,6 +530,25 @@ class TestTune:
         monkeypatch.setattr(cli, "reduce_dataset", no_reduce)
         with pytest.raises(ValueError, match="kn must be"):
             tune_hyperparameters("pca", {}, 3, descriptor, EstimationConfig(), kn=0)
+
+    def test_suite_tunes_mds_under_its_mds_flags(self, tmp_path, monkeypatch):
+        calls = []
+        project = reducers.mds_project
+
+        def spy(X, k, **opts):
+            calls.append(opts)
+            return project(X, k, **opts)
+
+        monkeypatch.setattr(reducers, "mds_project", spy)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"mds": {"tol": {"low": 1e-8, "high": 1e-6}}}))
+        assert run([
+            "suite", "--methods", "mds", "--tune-space", path, "--tune-budget", "2",
+            "--mds-max-iter", "20", "--limit", "1", "--repeats", "1", "--resolution", "12",
+            "--out-dir", tmp_path / "out",
+        ]) == 0
+        assert len(calls) == 3  # two draws, then the suite's run
+        assert all(opts["max_iter"] == 20 for opts in calls)
 
 
 class TestPlot:

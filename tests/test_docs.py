@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -27,18 +28,42 @@ def test_readme_lists_exactly_the_exports():
     assert re.findall(r"`(\w+)`", sentence) == curvebench.__all__
 
 
+def library_prose() -> str:
+    """README's Library section without its code blocks."""
+    library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
+    return re.sub(r"```.*?```", "", library, flags=re.S)
+
+
+# the submodules that the Library section points to
+MODULES = [importlib.import_module(f"curvebench.{name}") for name in
+           ("cli", "generator", "geometry", "estimation", "reducers", "errors")]
+
+
 def test_library_section_names_resolve():
     # a backticked name or call in the Library prose is a root export or
     # lives in one of the submodules that the section points to
-    library = ROOT.joinpath("README.md").read_text().split("## Library", 1)[1]
-    prose = re.sub(r"```.*?```", "", library, flags=re.S)
-    modules = [importlib.import_module(f"curvebench.{name}") for name in
-               ("cli", "generator", "geometry", "estimation", "reducers", "errors")]
-    names = set(re.findall(r"`([A-Za-z_]\w*)[`(]", prose))
+    names = set(re.findall(r"`([A-Za-z_]\w*)[`(]", library_prose()))
     assert "estimate_curvature" in names
     stale = sorted(name for name in names if name not in curvebench.__all__
-                   and not any(hasattr(module, name) for module in modules))
+                   and not any(hasattr(module, name) for module in MODULES))
     assert stale == []
+
+
+def test_library_section_signatures_match():
+    # a backticked call whose arguments are bare names lists the function's
+    # leading parameters, in order
+    modules = [curvebench, *MODULES]
+    checked, wrong = set(), {}
+    for name, arglist in re.findall(r"`(\w+)\(([^`()]*)\)`", library_prose()):
+        args = [arg.strip() for arg in arglist.split(",")]
+        if all(arg.isidentifier() for arg in args):
+            func = next(getattr(m, name) for m in modules if hasattr(m, name))
+            params = list(inspect.signature(func).parameters)[:len(args)]
+            checked.add(name)
+            if params != args:
+                wrong[name] = params
+    assert "curvature_from_metric_field" in checked
+    assert wrong == {}
 
 
 def test_every_exported_name_resolves():

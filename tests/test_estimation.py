@@ -22,7 +22,6 @@ from curvebench.estimation import (
 from curvebench.generator import sample_special_orthogonal
 from curvebench.geometry import (
     EIG_FLOOR,
-    MetricField,
     TensorGrid,
     l2_curvature_score,
     pair_indices,
@@ -197,7 +196,7 @@ class TestEstimateMetricKnn:
     def test_identity_map_recovers_identity(self):
         grid = unit_grid(2, 12)
         metric, diag = estimate_metric_knn(grid, grid.points(), 8)
-        assert np.max(np.abs(metric.matrices() - np.eye(2))) < 1e-9
+        assert np.max(np.abs(metric - np.eye(2))) < 1e-9
         assert diag["failed_nodes"] == []
         assert diag["clamped_nodes"] == []
 
@@ -207,7 +206,13 @@ class TestEstimateMetricKnn:
         samples[:, 1] = 0.0
         metric, diag = estimate_metric_knn(grid, samples, 8)
         assert len(diag["clamped_nodes"]) == grid.num_points
-        assert np.all(np.linalg.eigvalsh(metric.matrices())[:, 0] >= 1e-10)
+        assert np.all(np.linalg.eigvalsh(metric)[:, 0] >= 1e-10)
+        # a collapse off the axes clamps along an oblique direction; the
+        # clamped metrics are still exactly symmetric
+        t = grid.points() @ [1.0, 0.3]
+        metric, diag = estimate_metric_knn(grid, np.column_stack([t, 2 * t]), 8)
+        assert len(diag["clamped_nodes"]) == grid.num_points
+        assert np.array_equal(metric, metric.swapaxes(1, 2))
 
     def test_neighbor_count_validation(self):
         grid = unit_grid(2, 8)
@@ -285,7 +290,7 @@ class TestBatchedKnnFit:
         assert diag == {"failed_nodes": [], "clamped_nodes": []}
         nn = nearest_neighbors(pts, 9, key=squared_distance)
         self.assert_matches_reference(
-            metric.matrices(), [], pts, pts[nn], samples, samples[nn]
+            metric, [], pts, pts[nn], samples, samples[nn]
         )
 
     def test_collinear_neighbor_rows_fail_as_before(self):
@@ -296,7 +301,7 @@ class TestBatchedKnnFit:
         assert diag["failed_nodes"] == list(range(48, 96))
         nn = nearest_neighbors(pts, 8, key=squared_distance)
         self.assert_matches_reference(
-            metric.matrices(), diag["failed_nodes"], pts, pts[nn], pts, pts[nn]
+            metric, diag["failed_nodes"], pts, pts[nn], pts, pts[nn]
         )
 
 
@@ -352,7 +357,7 @@ class TestKnnStencil:
                              for ref in refs])
         clamped = np.linalg.eigvalsh(ref_mats)[:, 0] < EIG_FLOOR
         assert diag["clamped_nodes"] == [int(i) for i in np.flatnonzero(clamped)]
-        assert metric.matrices()[~clamped].tobytes() == ref_mats[~clamped].tobytes()
+        assert metric[~clamped].tobytes() == ref_mats[~clamped].tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(first=stencil_cases(), second=stencil_cases())
@@ -516,7 +521,7 @@ class TestStackedSweep:
             metric, diag = estimate_metric_knn(grid, sets, k)
             for s, one in enumerate(sets):
                 one_metric, one_diag = estimate_metric_knn(grid, one, k)
-                assert metric.packed[s].tobytes() == one_metric.packed.tobytes()
+                assert metric[s].tobytes() == one_metric.tobytes()
                 for key in diag:
                     assert [i - s * num for i in diag[key] if s * num <= i < (s + 1) * num] \
                         == one_diag[key]
@@ -618,7 +623,7 @@ class TestRoundTripScore:
         # sanity: splining an analytic constant metric keeps K at zero
         grid = unit_grid(2, 16)
         mats = np.tile(np.diag([2.0, 5.0]), (grid.num_points, 1, 1))
-        fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats))
+        fld = curvature_from_metric_field(grid, mats)
         assert np.max(np.abs(fld.values)) < 1e-9
 
     @pytest.mark.parametrize("mode", ["standard", "paper_sqrt"])
@@ -629,7 +634,7 @@ class TestRoundTripScore:
         mats = np.tile(np.eye(2), (grid.num_points, 1, 1))
         node = 5 * 12 + 6
         mats[node] = np.diag([1.0, 0.0])
-        fld = curvature_from_metric_field(MetricField.from_matrices(grid, mats), mode)
+        fld = curvature_from_metric_field(grid, mats, mode)
         assert fld.diagnostics["degenerate_nodes"] == [node]
         assert fld.diagnostics["floored_plane_nodes"] == [node]
         assert fld.diagnostics["regularization"] > 0.0

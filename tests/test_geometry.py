@@ -10,7 +10,6 @@ from curvebench.errors import DegenerateMetricError
 from curvebench.geometry import (
     MODES,
     PLANE_FLOOR,
-    MetricField,
     SectionalCurvatureField,
     TensorGrid,
     christoffel,
@@ -399,15 +398,6 @@ class TestFieldTypes:
         k, floored = sectional_at(g, riem)
         assert np.allclose(k[:, 0], -1.0, atol=1e-10)
         assert not floored.any()
-
-    def test_metric_field_stores_upper_triangle(self):
-        grid = unit_grid(2, 4)
-        mats = np.tile(np.array([[2.0, 0.5], [0.5, 1.0]]), (16, 1, 1))
-        mf = MetricField.from_matrices(grid, mats)
-        assert mf.packed.shape == (16, 3)
-        rebuilt = mf.matrices()
-        assert np.array_equal(rebuilt, mats)
-        assert np.array_equal(rebuilt, rebuilt.swapaxes(1, 2))
 
     def test_sectional_field_pair_count(self):
         grid = unit_grid(3, 4)

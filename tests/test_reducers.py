@@ -276,53 +276,37 @@ class TestExternalReducer:
     def test_copy_through_identity(self, tmp_path):
         stub = write_stub(tmp_path, "copy.py", COPY_STUB)
         X = np.random.default_rng(10).normal(size=(12, 3))
-        result = run_external_reducer(
-            self.command(stub), X, 3, timeout=30, workdir=tmp_path / "run"
-        )
+        result = run_external_reducer(self.command(stub), X, 3, timeout=30)
         assert np.allclose(result.Y, X, atol=1e-15)
 
     def test_row_count_mismatch_error(self, tmp_path):
         stub = write_stub(tmp_path, "drop.py", DROP_ROW_STUB)
         X = np.zeros((5, 2))
         with pytest.raises(ReducerRowCountError):
-            run_external_reducer(
-                self.command(stub), X, 2, timeout=30, workdir=tmp_path / "run"
-            )
+            run_external_reducer(self.command(stub), X, 2, timeout=30)
 
     def test_timeout_error(self, tmp_path):
         stub = write_stub(tmp_path, "sleep.py", SLEEP_STUB)
         with pytest.raises(ReducerTimeoutError) as err:
-            run_external_reducer(
-                self.command(stub), np.zeros((3, 2)), 2,
-                timeout=3.0, workdir=tmp_path / "run",
-            )
+            run_external_reducer(self.command(stub), np.zeros((3, 2)), 2, timeout=3.0)
         # the partial output comes back as text, like every other protocol error's
         assert (err.value.stdout, err.value.stderr) == ("partial\n", "partial error\n")
 
     def test_nonzero_exit_error_captures_stderr(self, tmp_path):
         stub = write_stub(tmp_path, "fail.py", FAIL_STUB)
         with pytest.raises(ReducerExitError) as err:
-            run_external_reducer(
-                self.command(stub), np.zeros((3, 2)), 2,
-                timeout=30, workdir=tmp_path / "run",
-            )
+            run_external_reducer(self.command(stub), np.zeros((3, 2)), 2, timeout=30)
         assert "deliberate failure" in err.value.stderr
 
     def test_missing_output_error(self, tmp_path):
         stub = write_stub(tmp_path, "noop.py", "pass\n")
         with pytest.raises(ReducerOutputError, match="no output"):
-            run_external_reducer(
-                self.command(stub), np.zeros((3, 2)), 2,
-                timeout=30, workdir=tmp_path / "run",
-            )
+            run_external_reducer(self.command(stub), np.zeros((3, 2)), 2, timeout=30)
 
     def test_non_finite_output_error(self, tmp_path):
         stub = write_stub(tmp_path, "nan.py", NAN_STUB)
         with pytest.raises(ReducerOutputError, match="non-finite cell on line 3"):
-            run_external_reducer(
-                self.command(stub), np.zeros((3, 2)), 2,
-                timeout=30, workdir=tmp_path / "run",
-            )
+            run_external_reducer(self.command(stub), np.zeros((3, 2)), 2, timeout=30)
 
     @pytest.mark.parametrize("case", ["missing", "not-executable"])
     def test_program_that_cannot_start_is_an_exit_error(self, tmp_path, case):
@@ -330,10 +314,8 @@ class TestExternalReducer:
         if case == "not-executable":
             program.write_text("#!/bin/sh\n")
         with pytest.raises(ReducerExitError, match="could not be started") as err:
-            run_external_reducer(
-                f"{program} {{input}} {{output}} {{k}}", np.zeros((3, 2)), 2,
-                timeout=30, workdir=tmp_path / "run",
-            )
+            run_external_reducer(f"{program} {{input}} {{output}} {{k}}", np.zeros((3, 2)), 2,
+                                 timeout=30)
         assert err.value.command.startswith(str(program))
 
     def test_no_temp_dir_left_behind(self, tmp_path, monkeypatch):
