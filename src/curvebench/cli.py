@@ -32,7 +32,7 @@ from .generator import (
     makegen,
 )
 from .geometry import check_trim, unit_grid
-from .reducers import check_kn, npr, reduce_dataset, share_classical_mds_lock
+from .reducers import check_kn, check_mds_setting, npr, reduce_dataset, share_classical_mds_lock
 
 DEFAULT_KN = 10
 
@@ -305,6 +305,12 @@ def cmd_suite(args) -> int:
         return 2
 
     settings = {method: _mds_settings(args, method) for method in methods}
+    for name, value in settings.get("mds", {}).items():
+        try:
+            check_mds_setting(name, value)
+        except ValueError as exc:
+            print(f"suite: {exc} (--mds-{name.replace('_', '-')})", file=sys.stderr)
+            return 2
     tuned = {}
     if args.tune_space:
         space = _read_space(args.tune_space)

@@ -35,6 +35,8 @@ from .geometry import (
     EIG_FLOOR,
     SectionalCurvatureField,
     TensorGrid,
+    _batch_first,
+    _batch_last,
     christoffel,
     l2_curvature_score,
     regularization_for,
@@ -111,7 +113,8 @@ def rescale_to_unit_box(points) -> np.ndarray:
 # nodes per stacked least-squares call: bounds the design array's memory
 KNN_CHUNK = 256
 # (grid, k) neighbor tables kept per process by knn_stencil, N*k*8 bytes each;
-# a score's two passes, and a run of scores, use one (grid, k)
+# a score fits all its sets in one stacked pass, so a run of scores at one
+# (grid, k) searches once
 STENCIL_CACHE_SIZE = 2
 
 
@@ -292,9 +295,7 @@ def _stacked_derivatives(grid: TensorGrid, sets, orders) -> list:
     for order in orders:
         derivs = np.empty((num, num_sets, width) + (n,) * order)
         for axes in combinations_with_replacement(range(n), order):
-            nu = [0] * n
-            for axis in axes:
-                nu[axis] += 1
+            nu = [axes.count(axis) for axis in range(n)]
             vals = spline(pts, nu=nu).reshape(num, num_sets, width)
             for perm in set(permutations(axes)):
                 derivs[(slice(None),) * 3 + perm] = vals
@@ -330,17 +331,19 @@ def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
     f_samples = np.asarray(f_samples, dtype=float)
     if f_samples.ndim not in (2, 3):
         raise ValueError(f"f_samples must be (N, m) or (S, N, m), got shape {f_samples.shape}")
-    # derivative tensors of f: d1[q, c, i], d2[q, c, i, j], d3[q, c, i, j, l]
-    d1, d2, d3 = _stacked_derivatives(grid, f_samples.reshape((-1,) + f_samples.shape[-2:]),
-                                      (1, 2, 3))
-    g = np.einsum("qci,qcj->qij", d1, d1)
-    dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
+    # derivative tensors of f at the Q nodes, batch axis last: d1[c, i, q],
+    # d2[c, i, j, q], d3[c, i, j, l, q]
+    d1, d2, d3 = (_batch_last(d, d.ndim - 1) for d in _stacked_derivatives(
+        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3)))
+    g = np.einsum("ci...,cj...->ij...", d1, d1)
+    dg = np.einsum("cik...,cj...->ijk...", d2, d1) + np.einsum("ci...,cjk...->ijk...", d1, d2)
     d2g = (
-        np.einsum("qcikl,qcj->qijkl", d3, d1)
-        + np.einsum("qcik,qcjl->qijkl", d2, d2)
-        + np.einsum("qcil,qcjk->qijkl", d2, d2)
-        + np.einsum("qci,qcjkl->qijkl", d1, d3)
+        np.einsum("cikl...,cj...->ijkl...", d3, d1)
+        + np.einsum("cik...,cjl...->ijkl...", d2, d2)
+        + np.einsum("cil...,cjk...->ijkl...", d2, d2)
+        + np.einsum("ci...,cjkl...->ijkl...", d1, d3)
     )
+    g, dg, d2g = _batch_first(g, 2), _batch_first(dg, 3), _batch_first(d2g, 4)
     return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
 
 
@@ -357,8 +360,8 @@ def curvature_from_metric_field(grid: TensorGrid, metrics, mode: str = "standard
     if metrics.ndim not in (3, 4) or metrics.shape[-3:] != (grid.num_points, n, n):
         raise ValueError("metric array must have shape ([S,] N, n, n)")
     sets = metrics.reshape((-1,) + metrics.shape[-3:])
-    packed = np.stack([0.5 * (sets[..., i, j] + sets[..., j, i]) for i, j in sym_indices(n)],
-                      axis=-1)
+    i, j = np.array(sym_indices(n)).T
+    packed = 0.5 * (sets[..., i, j] + sets[..., j, i])
     g, dg, d2g = (unpack_symmetric(derivs, n)
                   for derivs in _stacked_derivatives(grid, packed, (0, 1, 2)))
     return _sectional_from_metric_data(grid, metrics.shape[:-3], g, dg, d2g, mode)

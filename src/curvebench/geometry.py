@@ -113,9 +113,7 @@ def christoffel(g, dg, d2g, lam=0.0):
     inverse is taken of g + lam*Id, and d_l Gamma^k_ij follows from dg and
     d2g.  Raises DegenerateMetricError if that matrix is singular.
     """
-    g = np.asarray(g, dtype=float)
-    dg = np.asarray(dg, dtype=float)
-    d2g = np.asarray(d2g, dtype=float)
+    g, dg, d2g = (np.asarray(a, dtype=float) for a in (g, dg, d2g))
     lam = np.broadcast_to(np.asarray(lam, dtype=float), g.shape[:-2])
     n = g.shape[-1]
     try:
@@ -124,31 +122,21 @@ def christoffel(g, dg, d2g, lam=0.0):
         raise DegenerateMetricError(
             f"metric not invertible even after regularization lambda={lam}"
         ) from exc
-    # Below, index expressions name the component axes only; batch axes trail.
+    # Index strings name the component axes; the batch axes trail ("...").
     ginv, dg, d2g = _batch_last(ginv, 2), _batch_last(dg, 3), _batch_last(d2g, 4)
     # term[m,i,j] = d_j g_mi + d_i g_mj - d_m g_ij, from dg[i,j,k] = d_k g_ij
     term = dg + dg.swapaxes(1, 2) - dg.transpose(2, 0, 1, *range(3, dg.ndim))
     # dterm[m,i,j,l] = d_l (d_j g_mi + d_i g_mj - d_m g_ij), from
     # d2g[i,j,k,l] = d_k d_l g_ij
     dterm = d2g + d2g.swapaxes(1, 2) - d2g.transpose(2, 0, 1, 3, *range(4, d2g.ndim))
-    # Each contraction adds its terms one at a time from 0.0, summation
-    # indices rising (a before b): the order np.einsum sums in, so the
-    # results keep its bits (tests hold the einsum form as the reference).
     # dginv[m,k,l] = d_l g^mk = -sum_ab g^ma (d_l g_ab) g^bk
-    dginv = 0.0
-    for a in range(n):
-        for b in range(n):
-            dginv = dginv + (ginv[:, a, None, None] * dg[a, b, None, None, :]
-                             * ginv[b, None, :, None])
-    dginv = -dginv
+    dginv = -np.einsum("ma...,abl...,bk...->mkl...", ginv, dg, ginv)
     # gamma[k,i,j] = sum_m g^mk term[m,i,j] / 2, and its derivative
     # dgamma[k,i,j,l] = sum_m (d_l g^mk term[m,i,j] + g^mk dterm[m,i,j,l]) / 2
-    gamma = dgamma_a = dgamma_b = 0.0
-    for m in range(n):
-        gamma = gamma + ginv[m, :, None, None] * term[m, None, :, :]
-        dgamma_a = dgamma_a + dginv[m, :, None, None, :] * term[m, None, :, :, None]
-        dgamma_b = dgamma_b + ginv[m, :, None, None, None] * dterm[m, None, :, :, :]
-    return _batch_first(0.5 * gamma, 3), _batch_first(0.5 * (dgamma_a + dgamma_b), 4)
+    gamma = np.einsum("mk...,mij...->kij...", ginv, term)
+    dgamma = np.einsum("mkl...,mij...->kijl...", dginv, term) \
+        + np.einsum("mk...,mijl...->kijl...", ginv, dterm)
+    return _batch_first(0.5 * gamma, 3), _batch_first(0.5 * dgamma, 4)
 
 
 def riemann_at(gamma, dgamma):
@@ -157,20 +145,15 @@ def riemann_at(gamma, dgamma):
     R^l_ijk = d_j Gamma^l_ik - d_i Gamma^l_jk
               + sum_p (Gamma^p_ik Gamma^l_jp - Gamma^p_jk Gamma^l_ip)
     """
-    gamma = np.asarray(gamma, dtype=float)
-    dgamma = np.asarray(dgamma, dtype=float)
+    gamma, dgamma = np.asarray(gamma, dtype=float), np.asarray(dgamma, dtype=float)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(dgamma))):
         raise ValueError("Christoffel data must be finite")
     # component axes first, batch axes trailing, as in christoffel
     gamma, dgamma = _batch_last(gamma, 3), _batch_last(dgamma, 4)
-    rest = range(4, dgamma.ndim)
-    t1 = dgamma.transpose(0, 1, 3, 2, *rest)  # d_j Gamma^l_ik: dgamma[l,i,k,j] -> [l,i,j,k]
-    t2 = dgamma.transpose(0, 3, 1, 2, *rest)  # d_i Gamma^l_jk: dgamma[l,j,k,i] -> [l,i,j,k]
-    q1 = q2 = 0.0
-    for p in range(gamma.shape[0]):
-        # q1[l,i,j,k] += Gamma^p_ik Gamma^l_jp,  q2[l,i,j,k] += Gamma^p_jk Gamma^l_ip
-        q1 = q1 + gamma[p, None, :, None, :] * gamma[:, None, :, p, None]
-        q2 = q2 + gamma[p, None, None, :, :] * gamma[:, :, p, None, None]
+    t1 = dgamma.swapaxes(2, 3)  # d_j Gamma^l_ik: dgamma[l,i,k,j] -> [l,i,j,k]
+    t2 = np.moveaxis(dgamma, 3, 1)  # d_i Gamma^l_jk: dgamma[l,j,k,i] -> [l,i,j,k]
+    q1 = np.einsum("pik...,ljp...->lijk...", gamma, gamma)  # Gamma^p_ik Gamma^l_jp
+    q2 = np.einsum("pjk...,lip...->lijk...", gamma, gamma)  # Gamma^p_jk Gamma^l_ip
     return _batch_first(t1 - t2 + q1 - q2, 4)
 
 
@@ -189,8 +172,7 @@ def sectional_at(g, riem, mode: str = "standard"):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    g = np.asarray(g, dtype=float)
-    riem = np.asarray(riem, dtype=float)
+    g, riem = np.asarray(g, dtype=float), np.asarray(riem, dtype=float)
     n = g.shape[-1]
     pairs = pair_indices(n)
     out = np.empty(g.shape[:-2] + (len(pairs),))

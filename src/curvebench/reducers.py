@@ -8,6 +8,7 @@ and ``{k}`` substituted, and the embedding is read back from ``{output}``
 """
 
 import contextlib
+import numbers
 import shlex
 import subprocess
 import tempfile
@@ -150,11 +151,26 @@ def smacof(D, init, max_iter: int, tol: float):
     return Y, stresses
 
 
+def check_mds_setting(name: str, value):
+    """MDS setting ``name`` as an int ('max_iter', >= 1; 50.0 counts, True
+    does not) or a float ('tol', finite and >= 0), or ValueError."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"mds hyperparameter {name!r} must be a number, got {value!r}")
+    if name == "max_iter":
+        if isinstance(value, bool) or not 1 <= value < np.inf or value % 1:
+            raise ValueError(f"mds max_iter must be an integer >= 1, got {value!r}")
+        return int(value)
+    if not 0 <= value < np.inf:
+        raise ValueError(f"mds tol must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
 def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingResult:
     """Metric MDS: SMACOF initialized from classical MDS."""
     X = np.asarray(X, dtype=float)
-    if k < 1 or max_iter < 1:
-        raise ValueError("need k >= 1 and max_iter >= 1")
+    max_iter, tol = check_mds_setting("max_iter", max_iter), check_mds_setting("tol", tol)
+    if not 1 <= k <= len(X):
+        raise ValueError(f"k must be in [1, {len(X)}] for {len(X)} points, got {k}")
     if not np.all(np.isfinite(X)):
         raise ValueError("distances must be finite")
     start = time.perf_counter()
@@ -306,8 +322,8 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
     """Dispatch a method spec: 'pca', 'tsvd', 'mds' or 'external:<command>'.
 
     MDS reads ``max_iter`` and ``tol`` from ``hyperparameters``, each
-    defaulting to :func:`mds_project`'s; an external command has every
-    hyperparameter substituted into its template.
+    defaulting to and checked by :func:`mds_project`; an external command
+    has every hyperparameter substituted into its template.
     """
     hyperparameters = dict(hyperparameters or {})
     if method == "pca":
@@ -315,16 +331,8 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
     if method == "tsvd":
         return truncated_svd_project(X, k)
     if method == "mds":
-        opts = {}
-        for name, cast in (("max_iter", int), ("tol", float)):
-            if name in hyperparameters:
-                value = hyperparameters[name]
-                try:
-                    opts[name] = cast(value)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(f"mds hyperparameter {name!r} must be a number, "
-                                     f"got {value!r}") from None
-        return mds_project(X, k, **opts)
+        return mds_project(X, k, **{name: hyperparameters[name] for name in ("max_iter", "tol")
+                                    if name in hyperparameters})
     if method.startswith("external:"):
         command = method.split(":", 1)[1]
         if hyperparameters:

@@ -4,11 +4,14 @@ import hashlib
 import json
 import stat
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvebench import cli, estimation, fileio, reducers
 from curvebench.cli import main, score_embedding, tune_hyperparameters
@@ -285,6 +288,22 @@ class TestSuite:
         assert flag in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--mds-tol", "nan"), ("--mds-tol", "-1"),
+                                            ("--mds-tol", "inf"), ("--mds-max-iter", "0")])
+    def test_bad_mds_settings_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                       flag, value):
+        def no_job(job):
+            raise AssertionError("suite job started before the MDS settings check")
+
+        monkeypatch.setattr(cli, "_run_suite_job", no_job)
+        out_dir = tmp_path / "bad"
+        assert run([
+            "suite", "--methods", "pca,mds", "--resolution", "16", flag, value,
+            "--out-dir", out_dir,
+        ]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flags", [
         ["--trim", "8"], ["--kn", "0"], ["--kn", "256"], ["--methods", "mds", "--kn", "300"],
         ["--k-neighbors", "2"], ["--k-neighbors", "256"],
@@ -315,15 +334,19 @@ class TestSuite:
         ]) == 0
         assert reducers._cached_high_neighbors.cache_info().hits == 3
 
-    def test_parallel_workers_match_serial(self, tmp_path):
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_parallel_workers_match_serial(self, seed):
         argv = [
-            "suite", "--methods", "pca", "--repeats", "1", "--limit", "2",
-            "--resolution", "16", "--seed", "4",
+            "suite", "--methods", "pca,tsvd,mds", "--repeats", "2", "--limit", "2",
+            "--resolution", "12", "--mds-max-iter", "20", "--seed", seed,
         ]
-        assert run(argv + ["--out-dir", tmp_path / "serial"]) == 0
-        assert run(argv + ["--workers", "2", "--out-dir", tmp_path / "par"]) == 0
-        assert (tmp_path / "serial" / "summary.csv").read_bytes() == \
-            (tmp_path / "par" / "summary.csv").read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            serial, par = Path(tmp) / "serial", Path(tmp) / "par"
+            assert run(argv + ["--out-dir", serial]) == 0
+            assert run(argv + ["--workers", "2", "--out-dir", par]) == 0
+            for name in ("summary.csv", "medians.csv", "manifest.json"):
+                assert (serial / name).read_bytes() == (par / name).read_bytes(), name
 
 
 WARP_STUB = """
@@ -519,6 +542,16 @@ class TestTune:
         assert 0 < len(failed) < 6
         assert all(d["error"].startswith("ValueError: mds hyperparameter") for d in failed)
         assert all("error" not in d for d in result["draws"] if d not in failed)
+
+    def test_out_of_range_draws_fail_with_the_mds_check(self, tmp_path):
+        descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])
+        result = tune_hyperparameters("mds", {"max_iter": {"values": [2.7, 3]}}, 6,
+                                      descriptor, EstimationConfig())
+        failed = [d for d in result["draws"] if d["hyperparameters"]["max_iter"] == 2.7]
+        assert 0 < len(failed) < 6
+        assert all(d["error"] == "ValueError: mds max_iter must be an integer >= 1, got 2.7"
+                   for d in failed)
+        assert result["hyperparameters"] == {"max_iter": 3}
 
     def test_bad_kn_rejected_before_any_reduction(self, tmp_path, monkeypatch):
         inst, _ = generate_flat(tmp_path)

@@ -418,6 +418,56 @@ class TestFunctionEstimator:
         assert errs[0] >= errs[1] >= errs[2]
 
 
+def product_rule_einsum(grid, f_samples, mode):
+    """:func:`estimate_curvature_via_function` with its product rule as
+    einsums over batch-first arrays, kept as the reference its batch-last
+    einsums must equal bit for bit."""
+    d1, d2, d3 = estimation._stacked_derivatives(
+        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3))
+    g = np.einsum("qci,qcj->qij", d1, d1)
+    dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
+    d2g = (
+        np.einsum("qcikl,qcj->qijkl", d3, d1)
+        + np.einsum("qcik,qcjl->qijkl", d2, d2)
+        + np.einsum("qcil,qcjk->qijkl", d2, d2)
+        + np.einsum("qci,qcjkl->qijkl", d1, d3)
+    )
+    return estimation._sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
+
+
+@st.composite
+def function_stacks(draw):
+    """A grid and a ([S,] N, m) stack whose columns are random, linear or
+    signed-zero, so the derivative tensors hold exact (and negative) zeros."""
+    n = draw(st.sampled_from([2, 3]))
+    grid = unit_grid(n, draw(st.integers(5, 8) if n == 2 else st.integers(4, 5)))
+    width = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from([(), (1,), (2,)])) + (grid.num_points,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = grid.points()
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["random", "linear", "zero", "-zero"]),
+                              min_size=width, max_size=width)):
+        if kind == "random":
+            columns.append(rng.normal(size=shape))
+        elif kind == "linear":
+            columns.append(np.broadcast_to(pts @ rng.normal(size=n), shape))
+        else:
+            columns.append(np.full(shape, 0.0 if kind == "zero" else -0.0))
+    return grid, np.stack(columns, axis=-1), draw(st.sampled_from(["standard", "paper_sqrt"]))
+
+
+class TestProductRule:
+    @settings(max_examples=60, deadline=None)
+    @given(case=function_stacks())
+    def test_same_bits_as_batch_first_einsums(self, case):
+        grid, samples, mode = case
+        got = estimate_curvature_via_function(grid, samples, mode)
+        want = product_rule_einsum(grid, samples, mode)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.diagnostics == want.diagnostics
+
+
 class TestMetricEstimator:
     def test_identity_scores_tiny(self):
         grid = unit_grid(2, 32)

@@ -153,8 +153,8 @@ class TestRiemann:
 
 
 def christoffel_einsum(g, dg, d2g, lam):
-    """The ``einsum`` form of :func:`christoffel`'s contractions, kept as the
-    reference its index-order loops must equal bit for bit."""
+    """:func:`christoffel`'s contractions as einsums over batch-first arrays,
+    kept as the reference its batch-last einsums must equal bit for bit."""
     n = g.shape[-1]
     ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(n))
     nb = dg.ndim - 3
@@ -172,7 +172,8 @@ def christoffel_einsum(g, dg, d2g, lam):
 
 
 def riemann_einsum(gamma, dgamma):
-    """The ``einsum`` form of :func:`riemann_at`, kept as its reference."""
+    """:func:`riemann_at` as einsums over batch-first arrays, kept as the
+    reference its batch-last einsums must equal bit for bit."""
     nb = gamma.ndim - 3
     t1 = dgamma.transpose(*range(nb), nb, nb + 1, nb + 3, nb + 2)
     t2 = dgamma.transpose(*range(nb), nb, nb + 3, nb + 1, nb + 2)
@@ -182,12 +183,13 @@ def riemann_einsum(gamma, dgamma):
 
 
 class TestContractionsMatchEinsum:
-    """christoffel and riemann_at equal their former einsum forms bit for bit,
-    signed zeros included, for any batch shape."""
+    """christoffel and riemann_at, whose einsums run over batch-last arrays,
+    equal the batch-first einsum forms bit for bit, signed zeros included,
+    for any batch shape and 1 to 4 coordinates."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(2, 3),
+        n=st.integers(1, 4),
         batch=st.sampled_from([(), (1,), (7,), (2, 5), (300,)]),
         zero_share=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**32 - 1),

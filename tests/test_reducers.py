@@ -116,6 +116,35 @@ class TestMds:
         with pytest.raises(ValueError, match="finite"):
             mds_project(X, 2)
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"max_iter": 2.7}, "max_iter must be an integer >= 1, got 2.7"),
+        ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
+        ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+        ({"max_iter": float("inf")}, "max_iter must be an integer >= 1, got inf"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"tol": -1}, "tol must be finite and >= 0, got -1"),
+        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
+    ])
+    def test_bad_settings_rejected(self, settings, message):
+        X7, _ = planar_cloud(n=12)
+        with pytest.raises(ValueError, match=message):
+            mds_project(X7, 2, **settings)
+        with pytest.raises(ValueError, match=message):
+            reduce_dataset("mds", X7, 2, hyperparameters=settings)
+
+    def test_integral_float_iterations_accepted(self):
+        X7, _ = planar_cloud(n=12)
+        emb = reduce_dataset("mds", X7, 2, hyperparameters={"max_iter": 3.0, "tol": 0})
+        assert emb.hyperparameters["max_iter"] == 3
+        assert type(emb.hyperparameters["max_iter"]) is int
+        assert type(emb.hyperparameters["tol"]) is float
+        assert emb.Y.tobytes() == mds_project(X7, 2, max_iter=3, tol=0.0).Y.tobytes()
+
+    def test_more_columns_than_points_rejected(self):
+        X7, _ = planar_cloud(n=3)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 3\] for 3 points, got 5"):
+            mds_project(X7, 5)
+
     def test_classical_mds_holds_shared_lock(self, monkeypatch):
         class RecordingLock:
             def __init__(self):
