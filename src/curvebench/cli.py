@@ -6,7 +6,6 @@ Every run is a pure function of the master seed and the flags; the
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .generator import (
     makegen,
 )
 from .geometry import check_trim, unit_grid
-from .reducers import check_kn, check_mds_setting, npr, reduce_dataset, share_classical_mds_lock
+from .reducers import check_kn, check_mds_setting, npr, reduce_dataset
 
 DEFAULT_KN = 10
 
@@ -333,12 +332,7 @@ def cmd_suite(args) -> int:
         for method in methods
     ]
     if args.workers > 1:
-        # Workers take turns for classical MDS; see share_classical_mds_lock.
-        with ProcessPoolExecutor(
-            max_workers=args.workers,
-            initializer=share_classical_mds_lock,
-            initargs=(multiprocessing.Lock(),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             reports = list(pool.map(_run_suite_job, jobs, chunksize=4))
     else:
         reports = [_run_suite_job(job) for job in jobs]

@@ -7,7 +7,6 @@ and ``{k}`` substituted, and the embedding is read back from ``{output}``
 (header ``y1,...,yk``, one row per input row, 17 significant digits).
 """
 
-import contextlib
 import numbers
 import shlex
 import subprocess
@@ -18,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     ReducerExitError,
@@ -96,34 +95,14 @@ def truncated_svd_project(X, k: int) -> EmbeddingResult:
     )
 
 
-# Classical MDS runs two N^3 matrix products and a dense eigendecomposition
-# on every BLAS thread.  Two processes doing that at once on the same cores
-# thrash: on 2 cores at N=1024 it took 0.5-1.0 s alone and 2.6-5.1 s when
-# two suite workers overlapped.  Suite pool workers therefore share one lock
-# for it; elsewhere this is a no-op.
-_classical_mds_lock = contextlib.nullcontext()
-
-
-def share_classical_mds_lock(lock) -> None:
-    """Make this process hold ``lock`` around every classical MDS.
-
-    Used as the suite pool's worker initializer.
-    """
-    global _classical_mds_lock
-    _classical_mds_lock = lock
-
-
-def classical_mds(D, k: int) -> np.ndarray:
-    """Classical (Torgerson) MDS of a distance matrix: top-k eigenpairs of
-    the double-centered squared distances."""
-    npts = D.shape[0]
-    with _classical_mds_lock:
-        J = np.eye(npts) - np.ones((npts, npts)) / npts
-        B = -0.5 * J @ (D**2) @ J
-        w, v = np.linalg.eigh(B)
-    order = np.argsort(w)[::-1][:k]
-    w = np.maximum(w[order], 0.0)
-    return v[:, order] * np.sqrt(w)
+def classical_mds(X, k: int) -> np.ndarray:
+    """Classical (Torgerson) MDS of the Euclidean distances between the rows
+    of ``X``.  The double-centered squared distances -1/2 J D^2 J equal
+    (JX)(JX)^T, so its top-k eigenvectors scaled by the root eigenvalues are
+    the PCA scores of ``X`` (Gower 1966).  Columns past min(N, m) are zero."""
+    centered = X - X.mean(axis=0)
+    Y = centered @ _oriented_loadings(centered, min(k, *X.shape)).T
+    return np.pad(Y, ((0, 0), (0, k - Y.shape[1])))
 
 
 def smacof(D, init, max_iter: int, tol: float):
@@ -135,16 +114,19 @@ def smacof(D, init, max_iter: int, tol: float):
     """
     npts = D.shape[0]
     Y = np.array(init, dtype=float)
-    d = squareform(pdist(Y))
-    stresses = [0.5 * float(((D - d) ** 2).sum())]
+    d = cdist(Y, Y)
+    buf = np.subtract(D, d)  # ratio D/d during the transform, residual D - d after
+    stresses = [0.5 * float(np.einsum("ij,ij->", buf, buf))]
     for _ in range(max_iter):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d > 0, D / np.where(d > 0, d, 1.0), 0.0)
-        B = -ratio
-        B[np.arange(npts), np.arange(npts)] = ratio.sum(axis=1)
-        Y = (B @ Y) / npts
-        d = squareform(pdist(Y))
-        stresses.append(0.5 * float(((D - d) ** 2).sum()))
+        buf.fill(0.0)
+        np.divide(D, d, out=buf, where=d > 0)
+        # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B;
+        # einsum's default optimize=False keeps the product out of threaded BLAS
+        Y = (buf.sum(axis=1)[:, None] * Y
+             - np.einsum("ij,kj->ik", buf, np.ascontiguousarray(Y.T))) / npts
+        d = cdist(Y, Y)
+        np.subtract(D, d, out=buf)
+        stresses.append(0.5 * float(np.einsum("ij,ij->", buf, buf)))
         prev, cur = stresses[-2], stresses[-1]
         if prev - cur < tol * max(prev, np.finfo(float).tiny):
             break
@@ -174,9 +156,9 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
     if not np.all(np.isfinite(X)):
         raise ValueError("distances must be finite")
     start = time.perf_counter()
-    D = squareform(pdist(X))
-    Y, stresses = smacof(D, classical_mds(D, k), max_iter, tol)
-    denom = float((squareform(D) ** 2).sum())
+    condensed = pdist(X)
+    Y, stresses = smacof(squareform(condensed), classical_mds(X, k), max_iter, tol)
+    denom = float((condensed ** 2).sum())
     normalized = np.sqrt(stresses[-1] / denom) if denom > 0 else 0.0
     return EmbeddingResult(
         Y=Y,
@@ -317,22 +299,32 @@ def run_external_reducer(
         )
 
 
+# the hyperparameters each built-in reducer reads; any other name is refused
+BUILTIN_HYPERPARAMETERS = {"pca": (), "tsvd": (), "mds": ("max_iter", "tol")}
+
+
 def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
                    timeout: float = 300.0, hyperparameters=None) -> EmbeddingResult:
     """Dispatch a method spec: 'pca', 'tsvd', 'mds' or 'external:<command>'.
 
     MDS reads ``max_iter`` and ``tol`` from ``hyperparameters``, each
-    defaulting to and checked by :func:`mds_project`; an external command
-    has every hyperparameter substituted into its template.
+    defaulting to and checked by :func:`mds_project`; PCA and tSVD read
+    none, and a built-in reducer refuses a name it does not read.  An
+    external command has every hyperparameter substituted into its template.
     """
     hyperparameters = dict(hyperparameters or {})
+    if method in BUILTIN_HYPERPARAMETERS:
+        accepted = BUILTIN_HYPERPARAMETERS[method]
+        for name in hyperparameters:
+            if name not in accepted:
+                raise ValueError(f"{method} reads no hyperparameter {name!r}; it accepts "
+                                 + (", ".join(accepted) or "none"))
     if method == "pca":
         return pca_project(X, k)
     if method == "tsvd":
         return truncated_svd_project(X, k)
     if method == "mds":
-        return mds_project(X, k, **{name: hyperparameters[name] for name in ("max_iter", "tol")
-                                    if name in hyperparameters})
+        return mds_project(X, k, **hyperparameters)
     if method.startswith("external:"):
         command = method.split(":", 1)[1]
         if hyperparameters:

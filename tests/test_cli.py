@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import stat
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -348,6 +350,25 @@ class TestSuite:
             for name in ("summary.csv", "medians.csv", "manifest.json"):
                 assert (serial / name).read_bytes() == (par / name).read_bytes(), name
 
+    def test_summary_does_not_depend_on_blas_threads(self, tmp_path):
+        # each run is a fresh interpreter, because a BLAS library reads its
+        # thread count once, when it loads
+        summaries = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(cli.__file__).parent.parent)]
+                + [p for p in [env.get("PYTHONPATH")] if p])
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvebench.cli", "suite", "--methods", "mds",
+                 "--limit", "1", "--repeats", "1", "--resolution", "24",
+                 "--mds-max-iter", "20", "--seed", "0", "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
 
 WARP_STUB = """
 import sys
@@ -533,6 +554,18 @@ class TestTune:
         err = capsys.readouterr().err
         assert "every sampled configuration failed; the first with ValueError: " \
             f"mds hyperparameter 'max_iter' must be a number, got {value!r}" in err
+
+    def test_misspelled_mds_hyperparameter_is_named(self, tmp_path, capsys):
+        inst, _ = generate_flat(tmp_path)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"max_iters": {"type": "int", "low": 2, "high": 5}}))
+        assert run([
+            "tune", "--method", "mds", "--space", path, "--budget", "2",
+            "--instance", inst, "--out", tmp_path / "tuned.json",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError: mds reads no hyperparameter 'max_iters'; " \
+            "it accepts max_iter, tol" in err
 
     def test_failed_draws_carry_their_error(self, tmp_path):
         descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])

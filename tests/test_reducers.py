@@ -7,6 +7,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from curvebench import reducers
@@ -23,7 +25,6 @@ from curvebench.reducers import (
     pca_project,
     reduce_dataset,
     run_external_reducer,
-    share_classical_mds_lock,
     smacof,
     truncated_svd_project,
 )
@@ -103,10 +104,8 @@ class TestMds:
     def test_stress_sequence_is_monotone(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 5))
-        from scipy.spatial.distance import squareform
-
         D = squareform(pdist(X))
-        _, stresses = smacof(D, classical_mds(D, 2), max_iter=100, tol=0.0)
+        _, stresses = smacof(D, classical_mds(X, 2), max_iter=100, tol=0.0)
         diffs = np.diff(stresses)
         assert np.all(diffs <= 1e-9 * np.maximum(stresses[:-1], 1.0))
 
@@ -145,31 +144,80 @@ class TestMds:
         with pytest.raises(ValueError, match=r"k must be in \[1, 3\] for 3 points, got 5"):
             mds_project(X7, 5)
 
-    def test_classical_mds_holds_shared_lock(self, monkeypatch):
-        class RecordingLock:
-            def __init__(self):
-                self.entered = 0
-                self.held = False
+    @pytest.mark.parametrize("method,settings,message", [
+        ("mds", {"max_iters": 5}, "mds reads no hyperparameter 'max_iters'; "
+                                  "it accepts max_iter, tol"),
+        ("mds", {"max_iter": 5, "alpha": 1}, "mds reads no hyperparameter 'alpha'"),
+        ("pca", {"max_iter": 5}, "pca reads no hyperparameter 'max_iter'; it accepts none"),
+        ("tsvd", {"tol": 0.1}, "tsvd reads no hyperparameter 'tol'; it accepts none"),
+    ])
+    def test_unread_hyperparameters_rejected(self, method, settings, message):
+        X7, _ = planar_cloud(n=12)
+        with pytest.raises(ValueError, match=message):
+            reduce_dataset(method, X7, 2, hyperparameters=settings)
 
-            def __enter__(self):
-                assert not self.held
-                self.entered += 1
-                self.held = True
 
-            def __exit__(self, *exc):
-                self.held = False
+def torgerson_mds(X, k):
+    """Reference classical MDS: the top-k eigenpairs of -1/2 J D^2 J."""
+    npts = X.shape[0]
+    D = squareform(pdist(X))
+    J = np.eye(npts) - np.ones((npts, npts)) / npts
+    w, v = np.linalg.eigh(-0.5 * J @ (D**2) @ J)
+    order = np.argsort(w)[::-1]
+    return v[:, order[:k]] * np.sqrt(np.maximum(w[order[:k]], 0.0)), w[order]
 
-        X7, _ = planar_cloud()
-        D = squareform(pdist(X7))
-        unlocked = classical_mds(D, 2)
-        # restored after the test, so other tests run without the lock
-        monkeypatch.setattr(reducers, "_classical_mds_lock", reducers._classical_mds_lock)
-        lock = RecordingLock()
-        share_classical_mds_lock(lock)
-        assert np.array_equal(classical_mds(D, 2), unlocked)
-        assert lock.entered == 1 and not lock.held
-        mds_project(X7, 2)
-        assert lock.entered == 2 and not lock.held
+
+@st.composite
+def point_clouds(draw):
+    """(X, k): N in 3..40 rows in R^m, m in 1..7, some rows possibly repeated,
+    entries in [-10, 10] to six decimals (no squared distance underflows)."""
+    npts = draw(st.integers(3, 40))
+    dim = draw(st.integers(1, 7))
+    distinct = draw(st.integers(1, npts))
+    values = st.floats(-10, 10).map(lambda v: round(v, 6))
+    rows = np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                  min_size=distinct, max_size=distinct)))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=npts, max_size=npts))
+    return rows[picks], draw(st.integers(1, npts))
+
+
+class TestMdsForms:
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds())
+    def test_classical_mds_matches_torgerson(self, cloud):
+        X, k = cloud
+        got = classical_mds(X, k)
+        want, eigenvalues = torgerson_mds(X, k)
+        assert got.shape == (len(X), k)
+        assert not got[:, min(X.shape):].any()
+        # centering X costs a few ulps of its largest entry, and forming D
+        # costs as much, so tolerances are taken relative to the larger of the
+        # largest reference entry and 1e-4 of the largest input entry
+        scale = max(np.abs(want).max(), 1e-4 * np.abs(X).max())
+        top = max(eigenvalues[0], len(X) * scale**2)
+        # every column carries its eigenvalue: |y_j|^2 = lambda_j
+        assert np.abs((got**2).sum(axis=0) - (want**2).sum(axis=0)).max() <= 1e-9 * top
+        # a column is fixed up to sign when its eigenvalue is clear of round-off
+        # and of its neighbours; a near-tie leaves the basis of its eigenspace free
+        gaps = np.abs(np.diff(eigenvalues))
+        for j in range(k):
+            near = gaps[max(j - 1, 0):j + 1].min() if len(gaps) else np.inf
+            if eigenvalues[j] > 1e-8 * top and near > 1e-4 * top:
+                sign = 1.0 if got[:, j] @ want[:, j] >= 0 else -1.0
+                assert np.abs(sign * got[:, j] - want[:, j]).max() <= 1e-9 * scale
+
+    def test_smacof_step_is_the_guttman_transform(self):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(50, 6))
+        D = squareform(pdist(X))
+        Y0 = rng.normal(size=(50, 2))
+        Y1, _ = smacof(D, Y0, max_iter=1, tol=0.0)
+        d = squareform(pdist(Y0))
+        ratio = np.where(d > 0, D / np.where(d > 0, d, 1.0), 0.0)
+        B = -ratio
+        B[np.arange(50), np.arange(50)] = ratio.sum(axis=1)
+        want = (B @ Y0) / 50
+        assert np.abs(Y1 - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestNpr:

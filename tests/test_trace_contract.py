@@ -64,3 +64,14 @@ def test_traced_score_records_every_layer(method):
     assert not spans & ESTIMATOR_SPANS[other]
     assert SCORE_COUNTS | ESTIMATOR_COUNTS[method] <= set(tracer.counts)
     assert cli.score_embedding is original
+
+
+def test_traced_suite_records_every_mds_layer(tmp_path):
+    tracer = tracing.Tracer()
+    with tracing.Instrumented(tracer, program.probes()):
+        assert cli.main(["suite", "--methods", "mds", "--limit", "1", "--repeats", "1",
+                         "--resolution", "12", "--mds-max-iter", "5", "--workers", "1",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    spans = {span.name for span in tracer.spans}
+    assert {"reducers.mds", "reducers.classical_mds", "reducers.smacof"} <= spans
+    assert "reducers.mds_iters" in tracer.counts
