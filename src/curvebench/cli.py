@@ -34,6 +34,8 @@ from .geometry import check_trim, unit_grid
 from .reducers import check_kn, check_mds_setting, npr, reduce_dataset
 
 DEFAULT_KN = 10
+# the header of the summary.csv that `suite` writes and `plot` reads
+SUMMARY_HEADER = "instance_id,method,repeat,score,score_raw,npr,status"
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +344,7 @@ def cmd_suite(args) -> int:
         name = f"{rep['instance_id']}__{rep['method'].replace(':', '_').replace('/', '_')}__r{rep['repeat']}.json"
         fileio.write_json(reports_dir / name, rep)
 
-    header = "instance_id,method,repeat,score,score_raw,npr,status"
-    lines = [header] + [_summary_line(rep) for rep in reports]
+    lines = [SUMMARY_HEADER] + [_summary_line(rep) for rep in reports]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     _write_median_table(out_dir / "medians.csv", reports, methods, descriptors)
@@ -614,7 +615,7 @@ def cmd_plot(args) -> int:
                 "run `curvebench score` for higher-dimensional results"
             )
         out.write_text(_scatter_svg(pts))
-    elif header[:4] == ["instance_id", "method", "repeat", "score"]:
+    elif ",".join(header) == SUMMARY_HEADER:
         rows = []
         for lineno, line in enumerate(text.splitlines()[1:], start=2):
             if not line.strip():
@@ -624,8 +625,15 @@ def cmd_plot(args) -> int:
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
                                  f"got {len(cells)}")
             row = dict(zip(header, cells))
-            if row["status"] == "ok" and not np.isfinite(float(row["score"])):
-                raise ValueError(f"{path}:{lineno}: non-finite score {row['score']!r} on an ok row")
+            if row["status"] == "ok":
+                try:
+                    score = float(row["score"])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-numeric score {row['score']!r} "
+                                     "on an ok row") from None
+                if not np.isfinite(score):
+                    raise ValueError(f"{path}:{lineno}: non-finite score {row['score']!r} "
+                                     "on an ok row")
             rows.append(row)
         out.write_text(_box_svg(rows))
     else:

@@ -35,8 +35,6 @@ from .geometry import (
     EIG_FLOOR,
     SectionalCurvatureField,
     TensorGrid,
-    _batch_first,
-    _batch_last,
     christoffel,
     l2_curvature_score,
     regularization_for,
@@ -147,7 +145,7 @@ def _solve_knn(v, w):
         solution, _, rank, _ = _umath_linalg.lstsq(
             design, targets, rcond, signature="ddd->ddid"
         )
-    mats = unpack_symmetric(solution.reshape(-1, len(pairs)), n).reshape(rank.shape + (n, n))
+    mats = unpack_symmetric(solution.reshape(-1, len(pairs)), n, 1).reshape(rank.shape + (n, n))
     failed = rank < len(pairs)
     mats[failed] = EIG_FLOOR * np.eye(n)
     return mats, failed
@@ -284,28 +282,28 @@ def _stacked_derivatives(grid: TensorGrid, sets, orders) -> list:
 
     The S sets are splined side by side as one (N, S * c) fit, so they share
     its knots and basis.  For each order in ``orders`` the symmetric
-    (S * N, c, n, ..., n) tensor of all partial derivatives of that total
-    order is returned, rows set-major; one spline call per sorted index tuple
-    fills every permutation.
+    (c, n, ..., n, S * N) tensor of all partial derivatives of that total
+    order is returned, nodes set-major on the last axis; one spline call per
+    sorted index tuple fills every permutation.
     """
     num_sets, num, width = sets.shape
     spline = fit_spline(grid, np.moveaxis(sets, 0, 1).reshape(num, -1))
     pts, n = grid.points(), grid.n
     out = []
     for order in orders:
-        derivs = np.empty((num, num_sets, width) + (n,) * order)
+        derivs = np.empty((width,) + (n,) * order + (num_sets, num))
         for axes in combinations_with_replacement(range(n), order):
             nu = [axes.count(axis) for axis in range(n)]
-            vals = spline(pts, nu=nu).reshape(num, num_sets, width)
+            vals = spline(pts, nu=nu).reshape(num, num_sets, width).T
             for perm in set(permutations(axes)):
-                derivs[(slice(None),) * 3 + perm] = vals
-        out.append(np.moveaxis(derivs, 1, 0).reshape((num_sets * num, width) + (n,) * order))
+                derivs[(slice(None),) + perm] = vals
+        out.append(derivs.reshape((width,) + (n,) * order + (-1,)))
     return out
 
 
 def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
-    """Shared tail of both estimators: metric data of S * N nodes, set-major,
-    -> sectional field shaped ``sets_shape`` + (N, pairs)."""
+    """Shared tail of both estimators: ``g[i, j, q]``, ``dg`` and ``d2g`` of
+    S * N nodes q, set-major, -> field shaped ``sets_shape`` + (N, pairs)."""
     lam = regularization_for(g)
     riem = riemann_at(*christoffel(g, dg, d2g, lam))
     values, floored = sectional_at(g, riem, mode)
@@ -316,8 +314,8 @@ def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
         # the largest weight of each set: a float for one set
         "regularization": lam.reshape(grid_shape).max(axis=-1).tolist(),
     }
-    return SectionalCurvatureField(grid=grid, values=values.reshape(grid_shape + (-1,)),
-                                   diagnostics=diagnostics)
+    values = np.ascontiguousarray(values.T).reshape(grid_shape + (-1,))
+    return SectionalCurvatureField(grid=grid, values=values, diagnostics=diagnostics)
 
 
 def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
@@ -331,10 +329,10 @@ def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
     f_samples = np.asarray(f_samples, dtype=float)
     if f_samples.ndim not in (2, 3):
         raise ValueError(f"f_samples must be (N, m) or (S, N, m), got shape {f_samples.shape}")
-    # derivative tensors of f at the Q nodes, batch axis last: d1[c, i, q],
+    # derivative tensors of f at the Q nodes, node axis last: d1[c, i, q],
     # d2[c, i, j, q], d3[c, i, j, l, q]
-    d1, d2, d3 = (_batch_last(d, d.ndim - 1) for d in _stacked_derivatives(
-        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3)))
+    d1, d2, d3 = _stacked_derivatives(
+        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3))
     g = np.einsum("ci...,cj...->ij...", d1, d1)
     dg = np.einsum("cik...,cj...->ijk...", d2, d1) + np.einsum("ci...,cjk...->ijk...", d1, d2)
     d2g = (
@@ -343,7 +341,6 @@ def estimate_curvature_via_function(grid, f_samples, mode: str = "standard"):
         + np.einsum("cil...,cjk...->ijkl...", d2, d2)
         + np.einsum("ci...,cjkl...->ijkl...", d1, d3)
     )
-    g, dg, d2g = _batch_first(g, 2), _batch_first(dg, 3), _batch_first(d2g, 4)
     return _sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
 
 
@@ -362,7 +359,7 @@ def curvature_from_metric_field(grid: TensorGrid, metrics, mode: str = "standard
     sets = metrics.reshape((-1,) + metrics.shape[-3:])
     i, j = np.array(sym_indices(n)).T
     packed = 0.5 * (sets[..., i, j] + sets[..., j, i])
-    g, dg, d2g = (unpack_symmetric(derivs, n)
+    g, dg, d2g = (unpack_symmetric(derivs, n, 0)
                   for derivs in _stacked_derivatives(grid, packed, (0, 1, 2)))
     return _sectional_from_metric_data(grid, metrics.shape[:-3], g, dg, d2g, mode)
 

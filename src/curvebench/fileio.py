@@ -73,8 +73,18 @@ def write_instance_json(path, descriptor: InstanceDescriptor) -> None:
     Path(path).write_text(json.dumps(asdict(descriptor), indent=2) + "\n")
 
 
+def _field(path, obj, key, convert):
+    """``convert(obj[key])``, or a ValueError naming the file and the key."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad value {obj[key]!r} for {key!r} ({exc})") from None
+
+
 def read_instance_json(path) -> InstanceDescriptor:
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in INSTANCE_KEYS if key not in obj]
     if missing:
         raise ValueError(f"{path}: instance file missing keys {missing}")
@@ -87,13 +97,13 @@ def read_instance_json(path) -> InstanceDescriptor:
                     for t in obj["thetas"])):
         raise ValueError(f"{path}: 'thetas' must be a list of numbers, got {obj['thetas']!r}")
     return InstanceDescriptor(
-        n=int(obj["n"]),
-        m=int(obj["m"]),
+        n=_field(path, obj, "n", int),
+        m=_field(path, obj, "m", int),
         families=tuple(obj["families"]),
-        thetas=tuple(float(t) for t in obj["thetas"]),
-        eta=float(obj["eta"]),
-        seed=int(obj["seed"]),
-        grid_resolution=int(obj["grid_resolution"]),
+        thetas=_field(path, obj, "thetas", lambda ts: tuple(map(float, ts))),
+        eta=_field(path, obj, "eta", float),
+        seed=_field(path, obj, "seed", int),
+        grid_resolution=_field(path, obj, "grid_resolution", int),
         instance_id=str(obj["instance_id"]),
     )
 

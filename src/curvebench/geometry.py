@@ -1,14 +1,15 @@
 """Coordinate Riemannian geometry on gridded fields.
 
-Index conventions used throughout (all functions accept leading batch
-dimensions):
+Index conventions used throughout: component axes come first and any node
+axes trail, while metric fields at the estimators keep numpy.linalg's
+node-first layout ``([S,] N, n, n)``:
 
-* ``g[..., i, j]``            metric components g_ij
-* ``dg[..., i, j, k]``        first derivatives  d g_ij / d x_k
-* ``d2g[..., i, j, k, l]``    second derivatives d^2 g_ij / d x_k d x_l
-* ``gamma[..., k, i, j]``     Christoffel symbols Gamma^k_ij
-* ``dgamma[..., k, i, j, l]`` derivatives d Gamma^k_ij / d x_l
-* ``riem[..., l, i, j, k]``   curvature components R^l_ijk
+* ``g[i, j, ...]``            metric components g_ij
+* ``dg[i, j, k, ...]``        first derivatives  d g_ij / d x_k
+* ``d2g[i, j, k, l, ...]``    second derivatives d^2 g_ij / d x_k d x_l
+* ``gamma[k, i, j, ...]``     Christoffel symbols Gamma^k_ij
+* ``dgamma[k, i, j, l, ...]`` derivatives d Gamma^k_ij / d x_l
+* ``riem[l, i, j, k, ...]``   curvature components R^l_ijk
 
 The component formula implemented by :func:`riemann_at` is
 
@@ -23,9 +24,9 @@ by coordinate directions i < j has sectional curvature
 with the square root of the denominator in ``paper_sqrt`` mode.  The sign
 makes the round sphere positive: the metric diag(1, sin^2 x1) yields
 K_12 = +1 and diag(1, exp(2 x1)) yields -1.  :func:`sectional_at` returns
-(values, floored): where a plane's squared area is at most PLANE_FLOOR it
-is floored to PLANE_FLOOR and the node is marked in ``floored``, never
-raised on.
+(values, floored), ``values`` shaped (pairs, ...) and ``floored`` (...):
+where a plane's squared area is at most PLANE_FLOOR it is floored to
+PLANE_FLOOR and the node is marked in ``floored``, never raised on.
 """
 
 from dataclasses import dataclass, field
@@ -54,16 +55,16 @@ def sym_indices(n: int):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def unpack_symmetric(packed, n: int) -> np.ndarray:
-    """Symmetric tensors from upper triangles packed along axis 1.
+def unpack_symmetric(packed, n: int, axis: int) -> np.ndarray:
+    """Symmetric tensors from upper triangles packed along ``axis``.
 
-    ``packed`` has shape (Q, n(n+1)/2, ...) in :func:`sym_indices` order;
-    the result has shape (Q, n, n, ...), trailing axes kept.
+    The n(n+1)/2 components on ``axis``, in :func:`sym_indices` order,
+    become two axes (i, j) in its place; the other axes are kept.
     """
     col = np.empty((n, n), dtype=int)
     for idx, (i, j) in enumerate(sym_indices(n)):
         col[i, j] = col[j, i] = idx
-    return np.take(np.asarray(packed, dtype=float), col, axis=1)
+    return np.take(np.asarray(packed, dtype=float), col, axis=axis)
 
 
 def pullback_from_jacobian(J):
@@ -79,30 +80,16 @@ def pullback_from_jacobian(J):
 
 
 def regularization_for(g):
-    """Per-point Tikhonov weight that makes ``g`` safely invertible.
+    """Per-point Tikhonov weight that makes ``g[i, j, ...]`` safely invertible.
 
     Returns 0 where the smallest eigenvalue already clears the floor.
     """
     g = np.asarray(g, dtype=float)
-    n = g.shape[-1]
-    w = np.linalg.eigvalsh(g)[..., 0]
-    tr = np.einsum("...ii->...", g)
+    n = g.shape[0]
+    w = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))[..., 0]
+    tr = np.einsum("ii...->...", g)
     lam = np.where(w < EIG_FLOOR, np.maximum(REG_SCALE * tr / n, EIG_FLOOR - w), 0.0)
     return lam if lam.ndim else float(lam)
-
-
-def _batch_last(a, core: int) -> np.ndarray:
-    """Contiguous copy of ``a`` with its leading batch axes moved behind its
-    ``core`` trailing ones.  Elementwise steps on tensors of a few components
-    then run over the whole batch in one inner loop."""
-    nb = a.ndim - core
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(nb)), tuple(range(core, a.ndim))))
-
-
-def _batch_first(a, core: int) -> np.ndarray:
-    """Inverse of :func:`_batch_last`."""
-    nb = a.ndim - core
-    return np.ascontiguousarray(np.moveaxis(a, tuple(range(core, a.ndim)), tuple(range(nb))))
 
 
 def christoffel(g, dg, d2g, lam=0.0):
@@ -114,16 +101,16 @@ def christoffel(g, dg, d2g, lam=0.0):
     d2g.  Raises DegenerateMetricError if that matrix is singular.
     """
     g, dg, d2g = (np.asarray(a, dtype=float) for a in (g, dg, d2g))
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), g.shape[:-2])
-    n = g.shape[-1]
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), g.shape[2:])
+    n = g.shape[0]
     try:
-        ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(n))
+        ginv = np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1)) + lam[..., None, None] * np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise DegenerateMetricError(
             f"metric not invertible even after regularization lambda={lam}"
         ) from exc
     # Index strings name the component axes; the batch axes trail ("...").
-    ginv, dg, d2g = _batch_last(ginv, 2), _batch_last(dg, 3), _batch_last(d2g, 4)
+    ginv = np.ascontiguousarray(np.moveaxis(ginv, (-2, -1), (0, 1)))
     # term[m,i,j] = d_j g_mi + d_i g_mj - d_m g_ij, from dg[i,j,k] = d_k g_ij
     term = dg + dg.swapaxes(1, 2) - dg.transpose(2, 0, 1, *range(3, dg.ndim))
     # dterm[m,i,j,l] = d_l (d_j g_mi + d_i g_mj - d_m g_ij), from
@@ -136,7 +123,7 @@ def christoffel(g, dg, d2g, lam=0.0):
     gamma = np.einsum("mk...,mij...->kij...", ginv, term)
     dgamma = np.einsum("mkl...,mij...->kijl...", dginv, term) \
         + np.einsum("mk...,mijl...->kijl...", ginv, dterm)
-    return _batch_first(0.5 * gamma, 3), _batch_first(0.5 * dgamma, 4)
+    return 0.5 * gamma, 0.5 * dgamma
 
 
 def riemann_at(gamma, dgamma):
@@ -148,13 +135,11 @@ def riemann_at(gamma, dgamma):
     gamma, dgamma = np.asarray(gamma, dtype=float), np.asarray(dgamma, dtype=float)
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(dgamma))):
         raise ValueError("Christoffel data must be finite")
-    # component axes first, batch axes trailing, as in christoffel
-    gamma, dgamma = _batch_last(gamma, 3), _batch_last(dgamma, 4)
     t1 = dgamma.swapaxes(2, 3)  # d_j Gamma^l_ik: dgamma[l,i,k,j] -> [l,i,j,k]
     t2 = np.moveaxis(dgamma, 3, 1)  # d_i Gamma^l_jk: dgamma[l,j,k,i] -> [l,i,j,k]
     q1 = np.einsum("pik...,ljp...->lijk...", gamma, gamma)  # Gamma^p_ik Gamma^l_jp
     q2 = np.einsum("pjk...,lip...->lijk...", gamma, gamma)  # Gamma^p_jk Gamma^l_ip
-    return _batch_first(t1 - t2 + q1 - q2, 4)
+    return t1 - t2 + q1 - q2
 
 
 def sectional_at(g, riem, mode: str = "standard"):
@@ -166,27 +151,24 @@ def sectional_at(g, riem, mode: str = "standard"):
     the same zero set and agree whenever the metric is the identity at the
     evaluation point.  The sign is normalized so spheres are positive.
 
-    Returns (values, floored): ``values`` has shape (..., n(n-1)/2) and
+    Returns (values, floored): ``values`` has shape (n(n-1)/2, ...) and
     ``floored`` (...) marks the nodes where some plane has D <= PLANE_FLOOR;
     there D is replaced by PLANE_FLOOR, never raised on.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g, riem = np.asarray(g, dtype=float), np.asarray(riem, dtype=float)
-    n = g.shape[-1]
-    pairs = pair_indices(n)
-    out = np.empty(g.shape[:-2] + (len(pairs),))
-    floored = np.zeros(g.shape[:-2], dtype=bool)
-    for idx, (i, j) in enumerate(pairs):
-        num = -np.einsum("...l,...l->...", riem[..., :, i, j, j], g[..., :, i])
-        den = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
-        bad = den <= PLANE_FLOOR
-        floored |= bad
-        den = np.where(bad, PLANE_FLOOR, den)
-        if mode == "paper_sqrt":
-            den = np.sqrt(den)
-        out[..., idx] = num / den
-    return out, floored
+    i, j = np.array(pair_indices(g.shape[0]), dtype=int).reshape(-1, 2).T
+    # sum over l in order from +0 whatever the layout: the same bits anywhere
+    num = np.zeros(i.shape + g.shape[2:])
+    for term in riem[:, i, j, j] * g[:, i]:
+        num = num + term
+    den = g[i, i] * g[j, j] - g[i, j] ** 2
+    bad = den <= PLANE_FLOOR
+    den = np.where(bad, PLANE_FLOOR, den)
+    if mode == "paper_sqrt":
+        den = np.sqrt(den)
+    return -num / den, bad.any(axis=0)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,16 @@ class TestGenerate:
                     "--identity-rotation"]) == 0
         assert (out2 / csv.name).read_bytes() == csv.read_bytes()
 
+    @pytest.mark.parametrize("edit", [{"eta": None}, {"seed": [1]}, 5])
+    def test_malformed_instance_json_exits_one(self, tmp_path, capsys, edit):
+        inst, _ = generate_flat(tmp_path)
+        obj = fileio.read_json(inst)
+        obj = {**obj, **edit} if isinstance(edit, dict) else edit
+        inst.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["generate", "--instance", inst, "--out-dir", tmp_path / "regen"]) == 1
+        assert str(inst) in capsys.readouterr().err
+
     def test_env_variable_overrides_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVEBENCH_SEED", "77")
         run([
@@ -657,6 +667,23 @@ class TestPlot:
         )
         assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
         assert f"{summary}:3: expected 7 cells, got 4" in capsys.readouterr().err
+
+    def test_summary_without_status_column_is_unrecognized(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("instance_id,method,repeat,score\na,pca,1,1.0\n")
+        assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
+        assert "unrecognized CSV header 'instance_id,method,repeat,score'" \
+            in capsys.readouterr().err
+
+    def test_non_numeric_score_on_ok_row_is_located(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(
+            "instance_id,method,repeat,score,score_raw,npr,status\n"
+            "a,pca,1,1.0,1.0,0.5,ok\n"
+            "a,mds,1,abc,2.0,0.4,ok\n"
+        )
+        assert run(["plot", "--input", summary, "--out", tmp_path / "x.svg"]) == 1
+        assert f"{summary}:3: non-numeric score 'abc' on an ok row" in capsys.readouterr().err
 
     def test_non_finite_embedding_is_reported(self, tmp_path, capsys):
         emb = tmp_path / "nan.csv"

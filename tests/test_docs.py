@@ -89,3 +89,40 @@ def test_demo_runs(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def top_level_imports(path: Path) -> set:
+    """The top-level modules that a file's absolute imports name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_test_imports_are_declared():
+    # installing ".[test]" is all the tests need: each module they import is
+    # stdlib, local or declared in pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(ROOT.joinpath("pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    local = {"curvebench"} | {path.stem for folder in ("bench", "tests")
+                              for path in ROOT.joinpath(folder).glob("*.py")}
+    undeclared = {
+        path.name: sorted(top_level_imports(path) - set(sys.stdlib_module_names)
+                          - local - declared)
+        for path in [*sorted(ROOT.joinpath("tests").glob("*.py")),
+                     ROOT / "bench" / "test_bench.py"]
+    }
+    assert {name: mods for name, mods in undeclared.items() if mods} == {}
+
+
+def test_ci_runs_the_tier1_command():
+    roadmap = ROOT.joinpath("ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    workflow = ROOT.joinpath(".github", "workflows", "tier1.yml").read_text()
+    assert f"run: {command}\n" in workflow
+    assert 'pip install ".[test]"' in workflow

@@ -420,10 +420,10 @@ class TestFunctionEstimator:
 
 def product_rule_einsum(grid, f_samples, mode):
     """:func:`estimate_curvature_via_function` with its product rule as
-    einsums over batch-first arrays, kept as the reference its batch-last
-    einsums must equal bit for bit."""
-    d1, d2, d3 = estimation._stacked_derivatives(
-        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3))
+    einsums over batch-first arrays, kept as the reference its
+    component-first einsums must equal bit for bit."""
+    d1, d2, d3 = (np.moveaxis(d, -1, 0) for d in estimation._stacked_derivatives(
+        grid, f_samples.reshape((-1,) + f_samples.shape[-2:]), (1, 2, 3)))
     g = np.einsum("qci,qcj->qij", d1, d1)
     dg = np.einsum("qcik,qcj->qijk", d2, d1) + np.einsum("qci,qcjk->qijk", d1, d2)
     d2g = (
@@ -432,6 +432,7 @@ def product_rule_einsum(grid, f_samples, mode):
         + np.einsum("qcil,qcjk->qijkl", d2, d2)
         + np.einsum("qci,qcjkl->qijkl", d1, d3)
     )
+    g, dg, d2g = (np.moveaxis(t, 0, -1) for t in (g, dg, d2g))
     return estimation._sectional_from_metric_data(grid, f_samples.shape[:-2], g, dg, d2g, mode)
 
 

@@ -88,6 +88,39 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match=f"inst.json: '{key}' must be a list of"):
             fileio.read_instance_json(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("eta", None),
+        ("seed", [1]),
+        ("n", "two"),
+        ("grid_resolution", float("inf")),
+        ("thetas", [10**400, 1.2]),
+    ])
+    def test_unconvertible_field_is_named(self, tmp_path, key, value):
+        d = make_descriptor(("sine", "circle"), (1.2, 1.8))
+        path = tmp_path / "inst.json"
+        fileio.write_instance_json(path, d)
+        obj = fileio.read_json(path)
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"inst.json: bad value .* for '{key}'"):
+            fileio.read_instance_json(path)
+
+    def test_convertible_fields_stay_accepted(self, tmp_path):
+        d = make_descriptor(("sine", "circle"), (1.2, 2.0), eta=0.01, seed=3)
+        path = tmp_path / "inst.json"
+        fileio.write_instance_json(path, d)
+        obj = fileio.read_json(path)
+        obj.update(n="2", seed=3.0, eta="0.01", thetas=[1.2, 2])
+        path.write_text(json.dumps(obj))
+        assert fileio.read_instance_json(path) == d
+
+    @pytest.mark.parametrize("text", ["5\n", "[1, 2]\n", "null\n", '"inst"\n'])
+    def test_non_object_file_rejected(self, tmp_path, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="inst.json: expected a JSON object"):
+            fileio.read_instance_json(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 2}\n')

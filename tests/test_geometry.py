@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from curvebench.errors import DegenerateMetricError
 from curvebench.geometry import (
+    EIG_FLOOR,
     MODES,
     PLANE_FLOOR,
+    REG_SCALE,
     SectionalCurvatureField,
     TensorGrid,
     christoffel,
@@ -152,9 +154,23 @@ class TestRiemann:
             assert np.max(np.abs(r + r.swapaxes(1, 2))) < 1e-12
 
 
+def batch_last(a, core: int):
+    """A batch-first array with its ``core`` trailing component axes moved
+    to the front: the layout of the curvature chain."""
+    nb = a.ndim - core
+    return np.moveaxis(a, tuple(range(nb)), tuple(range(core, a.ndim)))
+
+
+def batch_first(a, core: int):
+    """Inverse of :func:`batch_last`."""
+    nb = a.ndim - core
+    return np.moveaxis(a, tuple(range(core, a.ndim)), tuple(range(nb)))
+
+
 def christoffel_einsum(g, dg, d2g, lam):
     """:func:`christoffel`'s contractions as einsums over batch-first arrays,
-    kept as the reference its batch-last einsums must equal bit for bit."""
+    kept as the reference its component-first einsums must equal bit for
+    bit."""
     n = g.shape[-1]
     ginv = np.linalg.inv(g + lam[..., None, None] * np.eye(n))
     nb = dg.ndim - 3
@@ -173,7 +189,7 @@ def christoffel_einsum(g, dg, d2g, lam):
 
 def riemann_einsum(gamma, dgamma):
     """:func:`riemann_at` as einsums over batch-first arrays, kept as the
-    reference its batch-last einsums must equal bit for bit."""
+    reference its component-first einsums must equal bit for bit."""
     nb = gamma.ndim - 3
     t1 = dgamma.transpose(*range(nb), nb, nb + 1, nb + 3, nb + 2)
     t2 = dgamma.transpose(*range(nb), nb, nb + 3, nb + 1, nb + 2)
@@ -182,15 +198,47 @@ def riemann_einsum(gamma, dgamma):
     return t1 - t2 + q1 - q2
 
 
+def sectional_batch_first(g, riem, mode):
+    """:func:`sectional_at` on batch-first arrays, pair by pair, kept as the
+    reference its one fancy-indexed pass must equal bit for bit."""
+    n = g.shape[-1]
+    pairs = pair_indices(n)
+    out = np.empty(g.shape[:-2] + (len(pairs),))
+    floored = np.zeros(g.shape[:-2], dtype=bool)
+    for idx, (i, j) in enumerate(pairs):
+        num = -np.einsum("...l,...l->...", riem[..., :, i, j, j], g[..., :, i])
+        den = g[..., i, i] * g[..., j, j] - g[..., i, j] ** 2
+        bad = den <= PLANE_FLOOR
+        floored |= bad
+        den = np.where(bad, PLANE_FLOOR, den)
+        if mode == "paper_sqrt":
+            den = np.sqrt(den)
+        out[..., idx] = num / den
+    return out, floored
+
+
+def regularization_batch_first(g):
+    """:func:`regularization_for` on batch-first arrays, kept as the
+    reference it must equal bit for bit."""
+    n = g.shape[-1]
+    w = np.linalg.eigvalsh(g)[..., 0]
+    tr = np.einsum("...ii->...", g)
+    lam = np.where(w < EIG_FLOOR, np.maximum(REG_SCALE * tr / n, EIG_FLOOR - w), 0.0)
+    return lam if lam.ndim else float(lam)
+
+
+BATCHES = [(), (1,), (7,), (2, 5), (300,)]
+
+
 class TestContractionsMatchEinsum:
-    """christoffel and riemann_at, whose einsums run over batch-last arrays,
-    equal the batch-first einsum forms bit for bit, signed zeros included,
-    for any batch shape and 1 to 4 coordinates."""
+    """christoffel and riemann_at, whose einsums run over component-first
+    arrays, equal the batch-first einsum forms bit for bit, signed zeros
+    included, for any batch shape and 1 to 4 coordinates."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 4),
-        batch=st.sampled_from([(), (1,), (7,), (2, 5), (300,)]),
+        batch=st.sampled_from(BATCHES),
         zero_share=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -209,11 +257,45 @@ class TestContractionsMatchEinsum:
         d2g = draw(batch + (n, n, n, n))
         d2g = d2g + d2g.swapaxes(-1, -2)
         lam = rng.uniform(0.0, 1e-3, size=batch) * (rng.random(batch) < 0.3)
-        gamma, dgamma = christoffel(g, dg, d2g, lam)
+        gamma, dgamma = christoffel(batch_last(g, 2), batch_last(dg, 3),
+                                    batch_last(d2g, 4), lam)
         ref_gamma, ref_dgamma = christoffel_einsum(g, dg, d2g, lam)
-        assert gamma.tobytes() == ref_gamma.tobytes()
-        assert dgamma.tobytes() == ref_dgamma.tobytes()
-        assert riemann_at(gamma, dgamma).tobytes() == riemann_einsum(gamma, dgamma).tobytes()
+        assert batch_first(gamma, 3).tobytes() == ref_gamma.tobytes()
+        assert batch_first(dgamma, 4).tobytes() == ref_dgamma.tobytes()
+        riem = batch_first(riemann_at(gamma, dgamma), 4)
+        assert riem.tobytes() == riemann_einsum(ref_gamma, ref_dgamma).tobytes()
+
+
+class TestSectionalMatchesBatchFirst:
+    """sectional_at and regularization_for on component-first arrays equal
+    their batch-first forms bit for bit, floored planes included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        batch=st.sampled_from(BATCHES),
+        mode=st.sampled_from(MODES),
+        flat_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_batch_first(self, n, batch, mode, flat_share, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=batch + (n, n))
+        # a rank-one metric on a drawn share of the nodes: every plane there
+        # has zero area, so the floor fires and the weight is positive
+        flat = rng.random(batch + (1, 1)) < flat_share
+        a = np.where(flat, a[..., :1] * np.ones(n), a)
+        g = a @ a.swapaxes(-1, -2) + rng.uniform(0.0, 0.2) * np.eye(n) * ~flat
+        shape = batch + (n, n, n, n)
+        # some exact (and negative) zeros, so that signed zeros are checked
+        riem = rng.normal(size=shape) * (rng.random(shape) >= flat_share) \
+            * rng.choice([-1.0, 1.0], size=shape)
+        values, floored = sectional_at(batch_last(g, 2), batch_last(riem, 4), mode)
+        ref_values, ref_floored = sectional_batch_first(g, riem, mode)
+        assert batch_first(values, 1).tobytes() == ref_values.tobytes()
+        assert np.asarray(floored).tobytes() == ref_floored.tobytes()
+        lam = regularization_for(batch_last(g, 2))
+        assert np.asarray(lam).tobytes() == np.asarray(regularization_batch_first(g)).tobytes()
 
 
 class TestSectional:
@@ -279,14 +361,14 @@ class TestSectional:
 
     def test_degenerate_plane_is_floored(self):
         # a zero-area plane is floored and marked, not raised on
-        g = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        g = batch_last(np.stack([np.eye(2), np.diag([1.0, 0.0])]), 2)
         riem = np.ones((2, 2, 2, 2, 2))
         for mode in MODES:
             k, floored = sectional_at(g, riem, mode=mode)
             assert floored.tolist() == [False, True]
             assert np.all(np.isfinite(k))
             den = PLANE_FLOOR if mode == "standard" else np.sqrt(PLANE_FLOOR)
-            assert k[1, 0] == -1.0 / den
+            assert k[0, 1] == -1.0 / den
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -393,12 +475,14 @@ class TestFieldTypes:
         dg[:, 1, 1, 0] = 2 * np.exp(2 * pts[:, 0])
         d2g = np.zeros((grid.num_points, 2, 2, 2, 2))
         d2g[:, 1, 1, 0, 0] = 4 * np.exp(2 * pts[:, 0])
+        g, dg, d2g = batch_last(g, 2), batch_last(dg, 3), batch_last(d2g, 4)
         gamma, dgamma = christoffel(g, dg, d2g)
         riem = riemann_at(gamma, dgamma)
-        assert gamma.shape == (grid.num_points, 2, 2, 2)
-        assert riem.shape == (grid.num_points, 2, 2, 2, 2)
+        assert gamma.shape == (2, 2, 2, grid.num_points)
+        assert riem.shape == (2, 2, 2, 2, grid.num_points)
         k, floored = sectional_at(g, riem)
-        assert np.allclose(k[:, 0], -1.0, atol=1e-10)
+        assert k.shape == (1, grid.num_points)
+        assert np.allclose(k[0], -1.0, atol=1e-10)
         assert not floored.any()
 
     def test_sectional_field_pair_count(self):
