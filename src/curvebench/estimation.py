@@ -43,7 +43,7 @@ from .geometry import (
     sym_indices,
     unpack_symmetric,
 )
-from .neighbors import nearest_neighbors, squared_distance
+from .neighbors import grid_neighbors
 
 
 def fit_spline(grid: TensorGrid, samples) -> NdBSpline:
@@ -163,9 +163,7 @@ def _canonical_order(neighbors, image_neighbors=None):
 
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
 def _cached_stencil(axes_bytes, k):
-    pts = TensorGrid(tuple(np.frombuffer(b) for b in axes_bytes)).points()
-    nn = nearest_neighbors(pts, k, key=squared_distance)
-    nn = np.take_along_axis(nn, _canonical_order(pts[nn]), axis=1)
+    nn = grid_neighbors(TensorGrid(tuple(np.frombuffer(b) for b in axes_bytes)), k)
     nn.flags.writeable = False
     return nn
 
@@ -175,7 +173,8 @@ def knn_stencil(grid: TensorGrid, k: int) -> np.ndarray:
     canonical order of :func:`knn_metric_at`, cached per (axes, k).
 
     The nodes of a tensor grid are distinct, so the source coordinates alone
-    fix the order and the image never breaks a tie: fitting these rows
+    fix the order, which is :func:`grid_neighbors`'s ascending index order,
+    and the image never breaks a tie: fitting these rows
     directly equals :func:`knn_metric_at` bit for bit.  The table is
     read-only.
     """

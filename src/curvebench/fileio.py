@@ -73,6 +73,14 @@ def write_instance_json(path, descriptor: InstanceDescriptor) -> None:
     Path(path).write_text(json.dumps(asdict(descriptor), indent=2) + "\n")
 
 
+def _integral(value) -> int:
+    """``value`` as an int if it holds one: an int, a float such as 3.0 or an
+    integer string such as "2", but not a bool, 3.7 or "3.7"."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _field(path, obj, key, convert):
     """``convert(obj[key])``, or a ValueError naming the file and the key."""
     try:
@@ -82,7 +90,7 @@ def _field(path, obj, key, convert):
 
 
 def read_instance_json(path) -> InstanceDescriptor:
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in INSTANCE_KEYS if key not in obj]
@@ -97,13 +105,13 @@ def read_instance_json(path) -> InstanceDescriptor:
                     for t in obj["thetas"])):
         raise ValueError(f"{path}: 'thetas' must be a list of numbers, got {obj['thetas']!r}")
     return InstanceDescriptor(
-        n=_field(path, obj, "n", int),
-        m=_field(path, obj, "m", int),
+        n=_field(path, obj, "n", _integral),
+        m=_field(path, obj, "m", _integral),
         families=tuple(obj["families"]),
         thetas=_field(path, obj, "thetas", lambda ts: tuple(map(float, ts))),
         eta=_field(path, obj, "eta", float),
-        seed=_field(path, obj, "seed", int),
-        grid_resolution=_field(path, obj, "grid_resolution", int),
+        seed=_field(path, obj, "seed", _integral),
+        grid_resolution=_field(path, obj, "grid_resolution", _integral),
         instance_id=str(obj["instance_id"]),
     )
 
@@ -114,4 +122,8 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    """The parsed JSON of ``path``, or a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None

@@ -26,7 +26,7 @@ from .errors import (
     ReducerTimeoutError,
 )
 from . import fileio
-from .neighbors import nearest_neighbors, pdist_squared_distance
+from .neighbors import nearest_neighbors
 
 @dataclass(frozen=True)
 class EmbeddingResult:
@@ -105,28 +105,65 @@ def classical_mds(X, k: int) -> np.ndarray:
     return np.pad(Y, ((0, 0), (0, k - Y.shape[1])))
 
 
+# rows per block of a SMACOF sweep; its three block buffers take 1.5 MB
+SMACOF_BLOCK = 256
+
+
+def _smacof_sweep(D, Y, bufs):
+    """Raw stress of ``Y`` and its Guttman transform, in one pass over the
+    pairs of row blocks (rows, cols), rows <= cols, of the symmetric ``D``
+    and d(Y).
+
+    Each pair's distances, residuals and ratios r = D / d (0 where d = 0)
+    are computed once and serve its rows directly and its cols through a
+    contiguous copy of r^T.  ``bufs`` are three SMACOF_BLOCK**2
+    scratch arrays.
+    """
+    npts = len(Y)
+    YT = np.ascontiguousarray(Y.T)
+    rowsum = np.zeros(npts)
+    weighted = np.zeros_like(Y)  # sum_j r_ij y_j
+    stress = 0.0
+    blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
+    for a, rows in enumerate(blocks):
+        for cols in blocks[a:]:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            d, r, rt = (buf[:shape[0] * shape[1]] for buf in bufs)
+            d, r = d.reshape(shape), r.reshape(shape)
+            cdist(Y[rows], Y[cols], out=d)
+            np.subtract(D[rows, cols], d, out=r)
+            stress += (1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", r, r))
+            # D / inf = 0 is the ratio's value at d = 0, without a masked divide
+            d[d == 0] = np.inf
+            np.divide(D[rows, cols], d, out=r)
+            # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B;
+            # einsum's default optimize=False keeps the product out of threaded BLAS
+            rowsum[rows] += r.sum(axis=1)
+            weighted[rows] += np.einsum("ij,kj->ik", r, YT[:, cols])
+            if rows != cols:
+                rt = rt.reshape(shape[::-1])
+                np.copyto(rt, r.T)
+                rowsum[cols] += rt.sum(axis=1)
+                weighted[cols] += np.einsum("ij,kj->ik", rt, YT[:, rows])
+    return 0.5 * stress, (rowsum[:, None] * Y - weighted) / npts
+
+
 def smacof(D, init, max_iter: int, tol: float):
     """SMACOF stress majorization.  Returns (Y, stress_history).
 
     The Guttman transform guarantees a non-increasing raw stress
     sum_{i<j} (D_ij - d_ij(Y))^2; iteration stops when the relative stress
-    decrease drops below ``tol``.
+    decrease drops below ``tol``.  Besides ``D``, memory is three
+    SMACOF_BLOCK x SMACOF_BLOCK buffers and a few (N, k) arrays.
     """
-    npts = D.shape[0]
+    bufs = [np.empty(SMACOF_BLOCK * SMACOF_BLOCK) for _ in range(3)]
     Y = np.array(init, dtype=float)
-    d = cdist(Y, Y)
-    buf = np.subtract(D, d)  # ratio D/d during the transform, residual D - d after
-    stresses = [0.5 * float(np.einsum("ij,ij->", buf, buf))]
+    stress, transformed = _smacof_sweep(D, Y, bufs)
+    stresses = [stress]
     for _ in range(max_iter):
-        buf.fill(0.0)
-        np.divide(D, d, out=buf, where=d > 0)
-        # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B;
-        # einsum's default optimize=False keeps the product out of threaded BLAS
-        Y = (buf.sum(axis=1)[:, None] * Y
-             - np.einsum("ij,kj->ik", buf, np.ascontiguousarray(Y.T))) / npts
-        d = cdist(Y, Y)
-        np.subtract(D, d, out=buf)
-        stresses.append(0.5 * float(np.einsum("ij,ij->", buf, buf)))
+        Y = transformed
+        stress, transformed = _smacof_sweep(D, Y, bufs)
+        stresses.append(stress)
         prev, cur = stresses[-2], stresses[-1]
         if prev - cur < tol * max(prev, np.finfo(float).tiny):
             break
@@ -189,7 +226,7 @@ NPR_CACHE_SIZE = 2
 @lru_cache(maxsize=NPR_CACHE_SIZE)
 def _cached_high_neighbors(data: bytes, shape: tuple, kn: int) -> np.ndarray:
     pts = np.frombuffer(data).reshape(shape)
-    table = nearest_neighbors(pts, kn, key=pdist_squared_distance)
+    table = nearest_neighbors(pts, kn)
     table.flags.writeable = False
     return table
 
@@ -211,7 +248,7 @@ def npr(x_high, y_low, kn: int = 10) -> float:
     if not (np.all(np.isfinite(x_high)) and np.all(np.isfinite(y_low))):
         raise ValueError("NPR inputs must be finite")
     high = _cached_high_neighbors(x_high.tobytes(), x_high.shape, int(kn))
-    low = nearest_neighbors(y_low, kn, key=pdist_squared_distance)
+    low = nearest_neighbors(y_low, kn)
     # A row of either table holds distinct indices, so after merging and
     # sorting, every shared neighbor is one pair of equal adjacent entries.
     merged = np.sort(np.concatenate([high, low], axis=1), axis=1)

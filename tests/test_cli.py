@@ -88,6 +88,18 @@ class TestGenerate:
         assert run(["generate", "--instance", inst, "--out-dir", tmp_path / "regen"]) == 1
         assert str(inst) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [{"seed": 3.7}, {"seed": True},
+                                      {"grid_resolution": 16.9}, '{"n": 2,'],
+                             ids=["seed-3.7", "seed-true", "resolution-16.9", "truncated"])
+    def test_non_integral_or_unparsable_instance_exits_one(self, tmp_path, capsys, edit):
+        inst, _ = generate_flat(tmp_path)
+        obj = fileio.read_json(inst)
+        inst.write_text(edit if isinstance(edit, str) else json.dumps({**obj, **edit}))
+        capsys.readouterr()
+        assert run(["generate", "--instance", inst, "--out-dir", tmp_path / "regen"]) == 1
+        assert str(inst) in capsys.readouterr().err
+        assert not (tmp_path / "regen").exists()
+
     def test_env_variable_overrides_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVEBENCH_SEED", "77")
         run([
@@ -201,13 +213,13 @@ class TestReduceAndScore:
         descriptor = fileio.read_instance_json(inst)
         X = fileio.read_point_cloud_csv(csv, prefix="x")
         calls = []
-        search = estimation.nearest_neighbors
+        search = estimation.grid_neighbors
 
         def counting_search(*args, **kwargs):
             calls.append(args[1])
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(estimation, "nearest_neighbors", counting_search)
+        monkeypatch.setattr(estimation, "grid_neighbors", counting_search)
         estimation._cached_stencil.cache_clear()
         config = EstimationConfig(k_neighbors=9, rescale_output=True)
         first = score_embedding(descriptor, X[:, :2], config, dataset=X)

@@ -27,7 +27,6 @@ from curvebench.geometry import (
     pair_indices,
     unit_grid,
 )
-from curvebench.neighbors import nearest_neighbors, squared_distance
 
 CFG_KNN = EstimationConfig(method="metric_knn", rescale_output=False)
 
@@ -73,6 +72,13 @@ def lstsq_metric_reference(x, neighbors, image_x, image_neighbors):
     for col, (a, b) in enumerate(pairs):
         out[a, b] = out[b, a] = solution[col]
     return out
+
+
+def brute_force_stencil(points, k):
+    """The former grid search: a stable argsort of ``((p_i - p_j) ** 2).sum(-1)``
+    with the node itself dropped, so exact ties go to the lowest index."""
+    order = np.argsort(((points[:, None, :] - points) ** 2).sum(-1), axis=1, kind="stable")
+    return np.array([row[row != i][:k] for i, row in enumerate(order)])
 
 
 def central_window(field, lo=0.3, hi=0.7):
@@ -288,7 +294,7 @@ class TestBatchedKnnFit:
         samples = np.column_stack([pts[:, 0], pts[:, 1], np.sin(pts[:, 0] * pts[:, 1])])
         metric, diag = estimate_metric_knn(grid, samples, 9)
         assert diag == {"failed_nodes": [], "clamped_nodes": []}
-        nn = nearest_neighbors(pts, 9, key=squared_distance)
+        nn = brute_force_stencil(pts, 9)
         self.assert_matches_reference(
             metric, [], pts, pts[nn], samples, samples[nn]
         )
@@ -299,7 +305,7 @@ class TestBatchedKnnFit:
         pts = grid.points()
         metric, diag = estimate_metric_knn(grid, pts, 8)
         assert diag["failed_nodes"] == list(range(48, 96))
-        nn = nearest_neighbors(pts, 8, key=squared_distance)
+        nn = brute_force_stencil(pts, 8)
         self.assert_matches_reference(
             metric, diag["failed_nodes"], pts, pts[nn], pts, pts[nn]
         )
@@ -349,7 +355,7 @@ class TestKnnStencil:
     def check_against_reference(grid, k, samples):
         metric, diag = estimate_metric_knn(grid, samples, k)
         pts = grid.points()
-        nn = nearest_neighbors(pts, k, key=squared_distance)
+        nn = brute_force_stencil(pts, k)
         refs = [lstsq_metric_reference(pts[i], pts[nn[i]], samples[i], samples[nn[i]])
                 for i in range(grid.num_points)]
         assert diag["failed_nodes"] == [i for i, ref in enumerate(refs) if ref is None]

@@ -114,6 +114,30 @@ class TestInstanceJson:
         path.write_text(json.dumps(obj))
         assert fileio.read_instance_json(path) == d
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 3.7),
+        ("seed", True),
+        ("grid_resolution", 16.9),
+        ("n", "3.7"),
+        ("m", False),
+    ])
+    def test_non_integral_integer_field_is_named(self, tmp_path, key, value):
+        d = make_descriptor(("sine", "circle"), (1.2, 1.8))
+        path = tmp_path / "inst.json"
+        fileio.write_instance_json(path, d)
+        obj = fileio.read_json(path)
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"inst.json: bad value {value!r} for '{key}'"):
+            fileio.read_instance_json(path)
+
+    @pytest.mark.parametrize("reader", [fileio.read_instance_json, fileio.read_json])
+    def test_invalid_json_names_its_file(self, tmp_path, reader):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n": 2,')
+        with pytest.raises(ValueError, match="inst.json: not valid JSON .Expecting property name"):
+            reader(path)
+
     @pytest.mark.parametrize("text", ["5\n", "[1, 2]\n", "null\n", '"inst"\n'])
     def test_non_object_file_rejected(self, tmp_path, text):
         path = tmp_path / "inst.json"

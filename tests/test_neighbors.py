@@ -2,40 +2,26 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
 from curvebench.generator import enumerate_suite, makegen
-from curvebench.geometry import unit_grid
-from curvebench.neighbors import (
-    nearest_neighbors,
-    pdist_squared_distance,
-    squared_distance,
-)
+from curvebench.geometry import TensorGrid, unit_grid
+from curvebench.neighbors import grid_neighbors, nearest_neighbors, pdist_squared_distance
 from curvebench.reducers import npr, pca_project, truncated_svd_project
 
-# The full matrix each key stands for, computed the way the brute-force
-# searches that nearest_neighbors replaced computed it.
-KEY_MATRICES = {
-    "squared_distance": lambda p: ((p[:, None, :] - p[None, :, :]) ** 2).sum(-1),
-    "pdist_squared_distance": lambda p: squareform(pdist(p)) ** 2,
-}
-KEYS = {
-    "squared_distance": squared_distance,
-    "pdist_squared_distance": pdist_squared_distance,
-}
 
-
-def brute_force(points, k, key_name):
-    """Stable argsort of the whole key matrix, self dropped by index."""
-    order = np.argsort(KEY_MATRICES[key_name](points), axis=1, kind="stable")
+def brute_force(points, k):
+    """Stable argsort of the whole pdist key matrix, self dropped by index."""
+    order = np.argsort(squareform(pdist(points)) ** 2, axis=1, kind="stable")
     return np.array([row[row != i][:k] for i, row in enumerate(order)])
 
 
 def grid_brute_force(points, k, chunk=512):
-    """The KNN metric fit's former search, chunked over query rows."""
+    """The KNN metric fit's former search, chunked over query rows: a stable
+    argsort of ``((p_i - p_j) ** 2).sum(-1)``, self dropped by index."""
     npts = points.shape[0]
     out = np.empty((npts, k), dtype=np.intp)
     for start in range(0, npts, chunk):
@@ -78,37 +64,69 @@ def clouds(draw):
     return points, k
 
 
-@pytest.mark.parametrize("key_name", sorted(KEYS))
 @settings(max_examples=150, deadline=None)
 @given(case=clouds())
-def test_matches_brute_force(key_name, case):
+def test_matches_brute_force(case):
     points, k = case
-    got = nearest_neighbors(points, k, key=KEYS[key_name])
-    assert np.array_equal(got, brute_force(points, k, key_name))
+    assert np.array_equal(nearest_neighbors(points, k), brute_force(points, k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=clouds())
 def test_pdist_key_reproduces_pdist_bitwise(case):
     points, _ = case
-    want = KEY_MATRICES["pdist_squared_distance"](points)
+    want = squareform(pdist(points)) ** 2
     assert np.array_equal(pdist_squared_distance(points[:, None, :] - points), want)
 
 
 def test_all_duplicates_go_to_lowest_indices():
     points = np.ones((50, 3))
-    got = nearest_neighbors(points, 4, key=squared_distance)
+    got = nearest_neighbors(points, 4)
     assert got[0].tolist() == [1, 2, 3, 4]
     assert np.all(got[10:] == [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("resolution", [24, 32, 48])
 def test_unit_grids_match_the_former_fit_search(resolution):
-    points = unit_grid(2, resolution).points()
-    reference = grid_brute_force(points, 12)
+    grid = unit_grid(2, resolution)
+    reference = grid_brute_force(grid.points(), 12)
     for k in range(8, 13):
-        got = nearest_neighbors(points, k, key=squared_distance)
-        assert np.array_equal(got, reference[:, :k])
+        got = grid_neighbors(grid, k)
+        assert np.array_equal(got, np.sort(reference[:, :k], axis=1))
+
+
+@st.composite
+def tensor_grids(draw):
+    """Tensor grids of 1-3 axes, each uneven, rounded to a coarse lattice (so
+    that keys tie) or equispaced, with a k up to 29."""
+    ndim = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(ndim):
+        size = draw(st.integers(2, 40 if ndim == 1 else 9))
+        kind = draw(st.sampled_from(["uneven", "rounded", "equispaced"]))
+        if kind == "uneven":
+            steps = draw(st.lists(st.floats(0.01, 3.0), min_size=size, max_size=size))
+            axes.append(np.cumsum(steps))
+        elif kind == "rounded":
+            steps = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+            scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0]))
+            axes.append(np.round(np.cumsum(steps) * scale, 6))
+        else:
+            axes.append(np.arange(size) / (size - 1))
+    grid = TensorGrid(tuple(axes))
+    return grid, draw(st.integers(1, min(29, grid.num_points - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tensor_grids())
+@example(case=(TensorGrid((np.arange(12) * 0.02, np.arange(12) / 11)), 8))
+@example(case=(unit_grid(3, 10), 20))
+@example(case=(unit_grid(2, 4), 15))
+@example(case=(TensorGrid((np.array([0.0, 1.0]),)), 1))
+def test_grid_neighbors_match_brute_force(case):
+    grid, k = case
+    want = np.sort(grid_brute_force(grid.points(), k), axis=1)
+    assert np.array_equal(grid_neighbors(grid, k), want)
 
 
 @pytest.mark.parametrize("index", [0, 17, 42, 59])
@@ -123,7 +141,10 @@ def test_npr_matches_set_based_npr_on_suite_instances(index):
 
 def test_input_validation():
     with pytest.raises(ValueError, match="2-D"):
-        nearest_neighbors(np.arange(5.0), 2, key=squared_distance)
+        nearest_neighbors(np.arange(5.0), 2)
     for k in (0, 5):
         with pytest.raises(ValueError, match="k="):
-            nearest_neighbors(np.eye(5), k, key=squared_distance)
+            nearest_neighbors(np.eye(5), k)
+    for k in (0, 16):
+        with pytest.raises(ValueError, match="k="):
+            grid_neighbors(unit_grid(2, 4), k)

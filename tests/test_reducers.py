@@ -4,12 +4,13 @@ import stat
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from curvebench import reducers
 from curvebench.errors import (
@@ -181,6 +182,56 @@ def point_clouds(draw):
     return rows[picks], draw(st.integers(1, npts))
 
 
+def smacof_reference(D, init, max_iter, tol):
+    """SMACOF's former iteration over full N x N arrays: the distances, the
+    masked ratio D / d and the residual D - d of every pair, each stored.
+
+    Also returns the largest magnitude of the Guttman transform's terms,
+    max_i (sum_j r_ij) * max|Y| / N over all iterations: the scale of the
+    transform's round-off, which near-coincident points raise far above
+    max|Y| through large ratios D / d.
+    """
+    npts = D.shape[0]
+    Y = np.array(init, dtype=float)
+    d = cdist(Y, Y)
+    buf = np.subtract(D, d)
+    stresses = [0.5 * float(np.einsum("ij,ij->", buf, buf))]
+    scale = 0.0
+    for _ in range(max_iter):
+        buf.fill(0.0)
+        np.divide(D, d, out=buf, where=d > 0)
+        scale = max(scale, buf.sum(axis=1).max() * np.abs(Y).max() / npts)
+        Y = (buf.sum(axis=1)[:, None] * Y
+             - np.einsum("ij,kj->ik", buf, np.ascontiguousarray(Y.T))) / npts
+        d = cdist(Y, Y)
+        np.subtract(D, d, out=buf)
+        stresses.append(0.5 * float(np.einsum("ij,ij->", buf, buf)))
+        prev, cur = stresses[-2], stresses[-1]
+        if prev - cur < tol * max(prev, np.finfo(float).tiny):
+            break
+    return Y, stresses, scale
+
+
+@st.composite
+def smacof_cases(draw):
+    """(D, Y0, max_iter): N in 3..700, so up to three row blocks and a ragged
+    last one.  Y0 is random or X's classical MDS.  Some rows repeat in both X
+    and Y0 (D = d = 0 off the diagonal) and some in Y0 alone (d = 0 < D),
+    across blocks too."""
+    blocks = draw(st.integers(0, 2))
+    npts = min(700, blocks * reducers.SMACOF_BLOCK + draw(st.integers(1 if blocks else 3,
+                                                                      reducers.SMACOF_BLOCK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(npts, draw(st.integers(1, 6))))
+    k = draw(st.integers(1, 3))
+    Y0 = classical_mds(X, k) if draw(st.booleans()) else rng.normal(size=(npts, k))
+    src, dst = rng.integers(0, npts, size=(2, draw(st.integers(0, npts // 2))))
+    X[dst], Y0[dst] = X[src], Y0[src]
+    src, dst = rng.integers(0, npts, size=(2, draw(st.integers(0, npts // 2))))
+    Y0[dst] = Y0[src]
+    return squareform(pdist(X)), Y0, draw(st.integers(1, 6))
+
+
 class TestMdsForms:
     @settings(max_examples=200, deadline=None)
     @given(cloud=point_clouds())
@@ -218,6 +269,44 @@ class TestMdsForms:
         B[np.arange(50), np.arange(50)] = ratio.sum(axis=1)
         want = (B @ Y0) / 50
         assert np.abs(Y1 - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=smacof_cases())
+    def test_smacof_matches_the_full_matrix_iteration(self, case):
+        D, Y0, max_iter = case
+        Y, stresses = smacof(D, Y0, max_iter=max_iter, tol=0.0)
+        want_Y, want_stresses, scale = smacof_reference(D, Y0, max_iter=max_iter, tol=0.0)
+        # The block sweep sums each row in another order: round-off only.
+        # Y then carries about an ulp of yscale, and each residual D - d about
+        # an ulp of D plus two of yscale, so a stress s is known to about
+        # eps * sqrt(2 s) * (|D| + 2 N yscale) (Cauchy-Schwarz); stresses are
+        # compared within 1e-12 relative plus a thousand times that.
+        yscale = max(np.abs(want_Y).max(), scale)
+        noise = (1e3 * np.finfo(float).eps * np.sqrt(2 * np.array(want_stresses))
+                 * (np.sqrt((D**2).sum()) + 2 * len(D) * yscale))
+        common = min(len(stresses), len(want_stresses))
+        assert np.all(np.abs(np.subtract(stresses[:common], want_stresses[:common]))
+                      <= 1e-12 * np.array(want_stresses[:common]) + noise[:common])
+        if len(stresses) != len(want_stresses):
+            # tol = 0 stops on the first rise, so the runs may part only where
+            # the stress no longer falls by more than its round-off
+            stop = common - 1
+            assert want_stresses[stop - 1] - want_stresses[stop] <= noise[stop - 1] + noise[stop]
+            return
+        assert np.abs(Y - want_Y).max() <= 1e-12 * yscale
+
+    def test_smacof_keeps_no_square_scratch(self):
+        rng = np.random.default_rng(4)
+        npts = 1000
+        D = squareform(pdist(rng.normal(size=(npts, 5))))
+        Y0 = rng.normal(size=(npts, 2))
+        tracemalloc.start()
+        try:
+            smacof(D, Y0, max_iter=3, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * D.nbytes
 
 
 class TestNpr:
@@ -270,9 +359,9 @@ class TestNprNeighborCache:
         searched = []
         search = reducers.nearest_neighbors
 
-        def counting(points, k, key):
+        def counting(points, k):
             searched.append(np.array(points))
-            return search(points, k, key=key)
+            return search(points, k)
 
         fresh = []
         for Y in embeddings:  # every call on an empty cache
