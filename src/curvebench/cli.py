@@ -326,16 +326,20 @@ def cmd_suite(args) -> int:
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
 
-    # one repeat's jobs share a dataset and run back to back, so npr's cache serves them
+    # one repeat's jobs share a dataset and are handed out back to back, so
+    # npr's cache serves them when one process runs two of them in a row
     jobs = [
         (desc, method, repeat, config, args.kn, {**settings[method], **tuned.get(method, {})})
         for desc in descriptors
         for repeat in range(1, args.repeats + 1)
         for method in methods
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(_run_suite_job, jobs, chunksize=4))
+    # one job at a time, so the worker that draws a long MDS job is not also
+    # holding a queue of others; a fork pool starts all its workers up front
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_suite_job, jobs))
     else:
         reports = [_run_suite_job(job) for job in jobs]
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import (
     ReducerExitError,
@@ -105,7 +105,7 @@ def classical_mds(X, k: int) -> np.ndarray:
     return np.pad(Y, ((0, 0), (0, k - Y.shape[1])))
 
 
-# rows per block of a SMACOF sweep; its three block buffers take 1.5 MB
+# rows per block of a SMACOF sweep; its two block buffers take 1 MB
 SMACOF_BLOCK = 256
 
 
@@ -115,37 +115,29 @@ def _smacof_sweep(D, Y, bufs):
     and d(Y).
 
     Each pair's distances, residuals and ratios r = D / d (0 where d = 0)
-    are computed once and serve its rows directly and its cols through a
-    contiguous copy of r^T.  ``bufs`` are three SMACOF_BLOCK**2
-    scratch arrays.
+    are computed once and serve its rows through r and its cols through
+    r^T.  ``bufs`` are two SMACOF_BLOCK**2 scratch arrays.
     """
-    npts = len(Y)
-    YT = np.ascontiguousarray(Y.T)
-    rowsum = np.zeros(npts)
-    weighted = np.zeros_like(Y)  # sum_j r_ij y_j
+    npts, k = Y.shape
+    Y1 = np.hstack([Y, np.ones((npts, 1))])
+    acc = np.zeros_like(Y1)  # sum_j r_ij [y_j | 1]
     stress = 0.0
     blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
     for a, rows in enumerate(blocks):
         for cols in blocks[a:]:
             shape = (rows.stop - rows.start, cols.stop - cols.start)
-            d, r, rt = (buf[:shape[0] * shape[1]] for buf in bufs)
-            d, r = d.reshape(shape), r.reshape(shape)
+            d, r = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
             cdist(Y[rows], Y[cols], out=d)
             np.subtract(D[rows, cols], d, out=r)
             stress += (1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", r, r))
             # D / inf = 0 is the ratio's value at d = 0, without a masked divide
             d[d == 0] = np.inf
             np.divide(D[rows, cols], d, out=r)
-            # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B;
-            # einsum's default optimize=False keeps the product out of threaded BLAS
-            rowsum[rows] += r.sum(axis=1)
-            weighted[rows] += np.einsum("ij,kj->ik", r, YT[:, cols])
+            # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B
+            acc[rows] += r @ Y1[cols]
             if rows != cols:
-                rt = rt.reshape(shape[::-1])
-                np.copyto(rt, r.T)
-                rowsum[cols] += rt.sum(axis=1)
-                weighted[cols] += np.einsum("ij,kj->ik", rt, YT[:, rows])
-    return 0.5 * stress, (rowsum[:, None] * Y - weighted) / npts
+                acc[cols] += r.T @ Y1[rows]
+    return 0.5 * stress, (acc[:, k:] * Y - acc[:, :k]) / npts
 
 
 def smacof(D, init, max_iter: int, tol: float):
@@ -153,10 +145,10 @@ def smacof(D, init, max_iter: int, tol: float):
 
     The Guttman transform guarantees a non-increasing raw stress
     sum_{i<j} (D_ij - d_ij(Y))^2; iteration stops when the relative stress
-    decrease drops below ``tol``.  Besides ``D``, memory is three
-    SMACOF_BLOCK x SMACOF_BLOCK buffers and a few (N, k) arrays.
+    decrease drops below ``tol``.  Besides ``D``, memory is two
+    SMACOF_BLOCK x SMACOF_BLOCK buffers and a few (N, k + 1) arrays.
     """
-    bufs = [np.empty(SMACOF_BLOCK * SMACOF_BLOCK) for _ in range(3)]
+    bufs = [np.empty(SMACOF_BLOCK * SMACOF_BLOCK) for _ in range(2)]
     Y = np.array(init, dtype=float)
     stress, transformed = _smacof_sweep(D, Y, bufs)
     stresses = [stress]
@@ -193,9 +185,9 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
     if not np.all(np.isfinite(X)):
         raise ValueError("distances must be finite")
     start = time.perf_counter()
-    condensed = pdist(X)
-    Y, stresses = smacof(squareform(condensed), classical_mds(X, k), max_iter, tol)
-    denom = float((condensed ** 2).sum())
+    D = cdist(X, X)
+    Y, stresses = smacof(D, classical_mds(X, k), max_iter, tol)
+    denom = 0.5 * float(np.einsum("ij,ij->", D, D))
     normalized = np.sqrt(stresses[-1] / denom) if denom > 0 else 0.0
     return EmbeddingResult(
         Y=Y,

@@ -358,6 +358,40 @@ class TestSuite:
         ]) == 0
         assert reducers._cached_high_neighbors.cache_info().hits == 3
 
+    @pytest.mark.parametrize("methods,workers,want", [
+        ("pca", 8, []),
+        ("pca,tsvd", 8, [(2, 1)]),
+        ("pca,tsvd,mds", 2, [(2, 1)]),
+    ])
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, monkeypatch,
+                                                  methods, workers, want):
+        # a fork pool starts every worker at once, so it must not outnumber the
+        # jobs, and it hands them out one at a time (chunksize 1)
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                pools.append((self.max_workers, chunksize))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        assert run([
+            "suite", "--methods", methods, "--limit", "1", "--repeats", "1", "--resolution",
+            "12", "--mds-max-iter", "5", "--workers", workers, "--out-dir", tmp_path / "out",
+        ]) == 0
+        assert pools == want
+        assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 1 + len(
+            methods.split(","))
+
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_parallel_workers_match_serial(self, seed):

@@ -1,10 +1,13 @@
 """Linear reducers, NPR, and the external-reducer protocol."""
 
+import os
 import stat
+import subprocess
 import sys
 import tempfile
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,45 @@ class TestMdsForms:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * D.nbytes
+
+    def test_mds_project_holds_one_distance_matrix(self):
+        # D is the only N x N array; no condensed copy lives beside it
+        npts = 1024
+        X = np.random.default_rng(4).normal(size=(npts, 7))
+        tracemalloc.start()
+        try:
+            mds_project(X, 2, max_iter=3, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * npts * npts * 8  # D's bytes
+
+    def test_smacof_does_not_depend_on_blas_threads(self):
+        # k = 4 puts 5 columns in each block product, above OpenBLAS's
+        # single-thread size, and N = 600 is two full blocks and a ragged one.
+        # Each run is a fresh interpreter, because a BLAS library reads its
+        # thread count once, when it loads.
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from scipy.spatial.distance import cdist
+            from curvebench.reducers import smacof
+            rng = np.random.default_rng(19)
+            X = rng.normal(size=(600, 6))
+            Y, stresses = smacof(cdist(X, X), rng.normal(size=(600, 4)), 8, 0.0)
+            sys.stdout.write(Y.tobytes().hex() + " " + np.array(stresses).tobytes().hex())
+        """)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(reducers.__file__).parent.parent)]
+                + [p for p in [env.get("PYTHONPATH")] if p])
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestNpr:
