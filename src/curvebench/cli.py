@@ -9,6 +9,8 @@ import math
 import os
 import sys
 import time
+import traceback
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -236,7 +238,11 @@ def cmd_score(args) -> int:
 def _run_suite_job(job):
     """One (instance, method, repeat) evaluation; returns a report dict.
 
-    Module-level so it can cross a process pool boundary.
+    Any exception the job raises becomes a ``failed`` report whose
+    ``error`` starts with the exception's type, so one job cannot take the
+    suite down; one outside the package's and the reducers' refusals
+    (CurvebenchError, ValueError) also keeps its traceback.  Module-level
+    so it can cross a process pool boundary.
     """
     desc_obj, method, repeat, config, kn, hyperparameters = job
     descriptor = replace(
@@ -259,9 +265,12 @@ def _run_suite_job(job):
         report["hyperparameters"] = result.hyperparameters
         report["wall_time_reduce"] = result.wall_time
         report["seeds"] = {"instance": descriptor.seed, "reducer": reducer_seed}
-    except (CurvebenchError, ValueError) as exc:
+    except Exception as exc:
         report["status"] = "failed"
         report["error"] = f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, (CurvebenchError, ValueError)):
+            # not a refusal of the inputs but a fault: keep where it happened
+            report["traceback"] = traceback.format_exc()
     return report
 
 
@@ -276,6 +285,7 @@ def _summary_line(report) -> str:
 
 
 def cmd_suite(args) -> int:
+    start = time.perf_counter()
     if args.limit < 0 or args.repeats < 1 or args.workers < 1:
         print("suite: need --limit >= 0, --repeats >= 1 and --workers >= 1", file=sys.stderr)
         return 2
@@ -352,6 +362,8 @@ def cmd_suite(args) -> int:
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     _write_median_table(out_dir / "medians.csv", reports, methods, descriptors)
+    failures = Counter(rep["error"].split(":", 1)[0] for rep in reports
+                       if rep["status"] == "failed")
     fileio.write_json(
         out_dir / "manifest.json",
         {
@@ -366,10 +378,13 @@ def cmd_suite(args) -> int:
             "kn": args.kn,
             "instances": [d.instance_id for d in descriptors],
             "tuned": tuned,
+            "failures": dict(sorted(failures.items())),
+            "wall_time": time.perf_counter() - start,
         },
     )
-    n_ok = sum(1 for r in reports if r["status"] == "ok")
-    print(f"suite: {n_ok}/{len(reports)} runs ok -> {out_dir}")
+    n_ok = len(reports) - failures.total()
+    tally = "".join(f", {count} {name}" for name, count in sorted(failures.items()))
+    print(f"suite: {n_ok}/{len(reports)} runs ok{tally} -> {out_dir}")
     if n_ok == 0:
         print("suite: every run failed", file=sys.stderr)
         return 1

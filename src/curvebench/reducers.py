@@ -107,12 +107,42 @@ def classical_mds(X, k: int) -> np.ndarray:
 
 # rows per block of a SMACOF sweep; its two block buffers take 1 MB
 SMACOF_BLOCK = 256
+# SMACOF stops once its raw stress is at most SMACOF_FLOOR * eps^2 *
+# sum_{i<j} D_ij^2.  An exact embedding keeps a stress of a few eps^2 *
+# sum D^2 from round-off alone (at most 4.6 on the flat-containing
+# instances of a 32 x 32 suite), and a decrease below that is round-off too
+SMACOF_FLOOR = 1e4
 
 
-def _smacof_sweep(D, Y, bufs):
+def _block_pairs(npts):
+    """The (rows, cols) slices of the row-block pairs rows <= cols of
+    ``npts`` points, in the order a SMACOF sweep visits them."""
+    blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
+    return [(rows, cols) for a, rows in enumerate(blocks) for cols in blocks[a:]]
+
+
+def distance_tiles(X):
+    """The Euclidean distances between the rows of ``X`` as contiguous tiles
+    ``cdist(X[rows], X[cols])``, one per block pair of :func:`_block_pairs`.
+
+    ``cdist`` computes each pair on its own, so every tile is byte-equal to
+    the block ``cdist(X, X)[rows, cols]``; together the tiles hold the upper
+    triangle of blocks, about half of the N x N matrix.
+    """
+    X = np.asarray(X, dtype=float)
+    return [cdist(X[rows], X[cols]) for rows, cols in _block_pairs(len(X))]
+
+
+def _pair_sum_squares(tiles, npts):
+    """sum_{i<j} D_ij^2 over the distance tiles of ``npts`` points: a
+    diagonal tile holds each of its pairs twice, any other tile once."""
+    return 0.5 * sum((1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", tile, tile))
+                     for (rows, cols), tile in zip(_block_pairs(npts), tiles, strict=True))
+
+
+def _smacof_sweep(tiles, Y, bufs):
     """Raw stress of ``Y`` and its Guttman transform, in one pass over the
-    pairs of row blocks (rows, cols), rows <= cols, of the symmetric ``D``
-    and d(Y).
+    distance tiles of :func:`distance_tiles` and the same blocks of d(Y).
 
     Each pair's distances, residuals and ratios r = D / d (0 where d = 0)
     are computed once and serve its rows through r and its cols through
@@ -122,42 +152,43 @@ def _smacof_sweep(D, Y, bufs):
     Y1 = np.hstack([Y, np.ones((npts, 1))])
     acc = np.zeros_like(Y1)  # sum_j r_ij [y_j | 1]
     stress = 0.0
-    blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
-    for a, rows in enumerate(blocks):
-        for cols in blocks[a:]:
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            d, r = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
-            cdist(Y[rows], Y[cols], out=d)
-            np.subtract(D[rows, cols], d, out=r)
-            stress += (1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", r, r))
-            # D / inf = 0 is the ratio's value at d = 0, without a masked divide
-            d[d == 0] = np.inf
-            np.divide(D[rows, cols], d, out=r)
-            # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B
-            acc[rows] += r @ Y1[cols]
-            if rows != cols:
-                acc[cols] += r.T @ Y1[rows]
+    for (rows, cols), tile in zip(_block_pairs(npts), tiles, strict=True):
+        d, r = (buf[:tile.size].reshape(tile.shape) for buf in bufs)
+        cdist(Y[rows], Y[cols], out=d)
+        np.subtract(tile, d, out=r)
+        stress += (1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", r, r))
+        # D / inf = 0 is the ratio's value at d = 0, without a masked divide
+        d[d == 0] = np.inf
+        np.divide(tile, d, out=r)
+        # Guttman transform (B Y)_i = sum_j r_ij (y_i - y_j) without forming B
+        acc[rows] += r @ Y1[cols]
+        if rows != cols:
+            acc[cols] += r.T @ Y1[rows]
     return 0.5 * stress, (acc[:, k:] * Y - acc[:, :k]) / npts
 
 
-def smacof(D, init, max_iter: int, tol: float):
-    """SMACOF stress majorization.  Returns (Y, stress_history).
+def smacof(tiles, init, max_iter: int, tol: float):
+    """SMACOF stress majorization over the distance tiles of
+    :func:`distance_tiles`.  Returns (Y, stress_history).
 
     The Guttman transform guarantees a non-increasing raw stress
     sum_{i<j} (D_ij - d_ij(Y))^2; iteration stops when the relative stress
-    decrease drops below ``tol``.  Besides ``D``, memory is two
-    SMACOF_BLOCK x SMACOF_BLOCK buffers and a few (N, k + 1) arrays.
+    decrease drops below ``tol``, or once the stress is at its round-off
+    floor SMACOF_FLOOR * eps^2 * sum_{i<j} D_ij^2.  Besides the tiles,
+    memory is two SMACOF_BLOCK x SMACOF_BLOCK buffers and a few (N, k + 1)
+    arrays.
     """
     bufs = [np.empty(SMACOF_BLOCK * SMACOF_BLOCK) for _ in range(2)]
+    floor = SMACOF_FLOOR * np.finfo(float).eps ** 2 * _pair_sum_squares(tiles, len(init))
     Y = np.array(init, dtype=float)
-    stress, transformed = _smacof_sweep(D, Y, bufs)
+    stress, transformed = _smacof_sweep(tiles, Y, bufs)
     stresses = [stress]
     for _ in range(max_iter):
         Y = transformed
-        stress, transformed = _smacof_sweep(D, Y, bufs)
+        stress, transformed = _smacof_sweep(tiles, Y, bufs)
         stresses.append(stress)
         prev, cur = stresses[-2], stresses[-1]
-        if prev - cur < tol * max(prev, np.finfo(float).tiny):
+        if cur <= floor or prev - cur < tol * max(prev, np.finfo(float).tiny):
             break
     return Y, stresses
 
@@ -185,9 +216,9 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
     if not np.all(np.isfinite(X)):
         raise ValueError("distances must be finite")
     start = time.perf_counter()
-    D = cdist(X, X)
-    Y, stresses = smacof(D, classical_mds(X, k), max_iter, tol)
-    denom = 0.5 * float(np.einsum("ij,ij->", D, D))
+    tiles = distance_tiles(X)
+    Y, stresses = smacof(tiles, classical_mds(X, k), max_iter, tol)
+    denom = _pair_sum_squares(tiles, len(X))
     normalized = np.sqrt(stresses[-1] / denom) if denom > 0 else 0.0
     return EmbeddingResult(
         Y=Y,

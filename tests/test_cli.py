@@ -253,6 +253,30 @@ class TestReduceAndScore:
         assert "collapsed" in capsys.readouterr().err
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """The suite's process pool, run in this process.  Returns the list of
+    (max_workers, chunksize) of every map the suite asks it for."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            pools.append((self.max_workers, chunksize))
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
 class TestSuite:
     def test_small_suite_runs_and_is_deterministic(self, tmp_path):
         argv = [
@@ -363,34 +387,49 @@ class TestSuite:
         ("pca,tsvd", 8, [(2, 1)]),
         ("pca,tsvd,mds", 2, [(2, 1)]),
     ])
-    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, monkeypatch,
+    def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pool,
                                                   methods, workers, want):
         # a fork pool starts every worker at once, so it must not outnumber the
         # jobs, and it hands them out one at a time (chunksize 1)
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                pools.append((self.max_workers, chunksize))
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         assert run([
             "suite", "--methods", methods, "--limit", "1", "--repeats", "1", "--resolution",
             "12", "--mds-max-iter", "5", "--workers", workers, "--out-dir", tmp_path / "out",
         ]) == 0
-        assert pools == want
+        assert in_process_pool == want
         assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 1 + len(
             methods.split(","))
+
+    @pytest.mark.parametrize("workers,pools", [(1, []), (2, [(2, 1)])])
+    def test_unexpected_job_error_is_a_failed_row(self, tmp_path, monkeypatch,
+                                                  in_process_pool, workers, pools):
+        # an exception outside the reducers' own error types, raised by one job
+        reduce_dataset = cli.reduce_dataset
+        calls = []
+
+        def first_tsvd_raises(method, *args, **kwargs):
+            calls.append(method)
+            if method == "tsvd" and calls.count("tsvd") == 1:
+                raise RuntimeError("reducer crashed")
+            return reduce_dataset(method, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce_dataset", first_tsvd_raises)
+        out = tmp_path / "out"
+        assert run([
+            "suite", "--methods", "pca,tsvd", "--limit", "2", "--repeats", "1",
+            "--resolution", "12", "--workers", workers, "--out-dir", out,
+        ]) == 0
+        assert in_process_pool == pools
+        status = [row.split(",")[-1]
+                  for row in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert sorted(status) == ["failed", "ok", "ok", "ok"]
+        assert len(list((out / "reports").glob("*.json"))) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == {"RuntimeError": 1}
+        assert manifest["wall_time"] > 0
+        reports = [json.loads(path.read_text()) for path in (out / "reports").glob("*.json")]
+        failed = [rep for rep in reports if rep["status"] == "failed"]
+        assert [rep["error"] for rep in failed] == ["RuntimeError: reducer crashed"]
+        assert "first_tsvd_raises" in failed[0]["traceback"]
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -403,8 +442,13 @@ class TestSuite:
             serial, par = Path(tmp) / "serial", Path(tmp) / "par"
             assert run(argv + ["--out-dir", serial]) == 0
             assert run(argv + ["--workers", "2", "--out-dir", par]) == 0
-            for name in ("summary.csv", "medians.csv", "manifest.json"):
+            for name in ("summary.csv", "medians.csv"):
                 assert (serial / name).read_bytes() == (par / name).read_bytes(), name
+            # the manifest matches but for the suite's own wall time
+            manifests = [json.loads((out / "manifest.json").read_text()) for out in (serial, par)]
+            for manifest in manifests:
+                assert manifest.pop("wall_time") > 0
+            assert manifests[0] == manifests[1]
 
     def test_summary_does_not_depend_on_blas_threads(self, tmp_path):
         # each run is a fresh interpreter, because a BLAS library reads its

@@ -24,6 +24,7 @@ from curvebench.errors import (
 )
 from curvebench.reducers import (
     classical_mds,
+    distance_tiles,
     mds_project,
     npr,
     pca_project,
@@ -108,8 +109,7 @@ class TestMds:
     def test_stress_sequence_is_monotone(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 5))
-        D = squareform(pdist(X))
-        _, stresses = smacof(D, classical_mds(X, 2), max_iter=100, tol=0.0)
+        _, stresses = smacof(distance_tiles(X), classical_mds(X, 2), max_iter=100, tol=0.0)
         diffs = np.diff(stresses)
         assert np.all(diffs <= 1e-9 * np.maximum(stresses[:-1], 1.0))
 
@@ -188,6 +188,7 @@ def point_clouds(draw):
 def smacof_reference(D, init, max_iter, tol):
     """SMACOF's former iteration over full N x N arrays: the distances, the
     masked ratio D / d and the residual D - d of every pair, each stored.
+    It stops by the same rules, the round-off floor included.
 
     Also returns the largest magnitude of the Guttman transform's terms,
     max_i (sum_j r_ij) * max|Y| / N over all iterations: the scale of the
@@ -195,6 +196,7 @@ def smacof_reference(D, init, max_iter, tol):
     max|Y| through large ratios D / d.
     """
     npts = D.shape[0]
+    floor = reducers.SMACOF_FLOOR * np.finfo(float).eps ** 2 * 0.5 * (D**2).sum()
     Y = np.array(init, dtype=float)
     d = cdist(Y, Y)
     buf = np.subtract(D, d)
@@ -210,14 +212,14 @@ def smacof_reference(D, init, max_iter, tol):
         np.subtract(D, d, out=buf)
         stresses.append(0.5 * float(np.einsum("ij,ij->", buf, buf)))
         prev, cur = stresses[-2], stresses[-1]
-        if prev - cur < tol * max(prev, np.finfo(float).tiny):
+        if cur <= floor or prev - cur < tol * max(prev, np.finfo(float).tiny):
             break
     return Y, stresses, scale
 
 
 @st.composite
 def smacof_cases(draw):
-    """(D, Y0, max_iter): N in 3..700, so up to three row blocks and a ragged
+    """(X, Y0, max_iter): N in 3..700, so up to three row blocks and a ragged
     last one.  Y0 is random or X's classical MDS.  Some rows repeat in both X
     and Y0 (D = d = 0 off the diagonal) and some in Y0 alone (d = 0 < D),
     across blocks too."""
@@ -232,7 +234,7 @@ def smacof_cases(draw):
     X[dst], Y0[dst] = X[src], Y0[src]
     src, dst = rng.integers(0, npts, size=(2, draw(st.integers(0, npts // 2))))
     Y0[dst] = Y0[src]
-    return squareform(pdist(X)), Y0, draw(st.integers(1, 6))
+    return X, Y0, draw(st.integers(1, 6))
 
 
 class TestMdsForms:
@@ -265,7 +267,7 @@ class TestMdsForms:
         X = rng.normal(size=(50, 6))
         D = squareform(pdist(X))
         Y0 = rng.normal(size=(50, 2))
-        Y1, _ = smacof(D, Y0, max_iter=1, tol=0.0)
+        Y1, _ = smacof(distance_tiles(X), Y0, max_iter=1, tol=0.0)
         d = squareform(pdist(Y0))
         ratio = np.where(d > 0, D / np.where(d > 0, d, 1.0), 0.0)
         B = -ratio
@@ -276,8 +278,9 @@ class TestMdsForms:
     @settings(max_examples=30, deadline=None)
     @given(case=smacof_cases())
     def test_smacof_matches_the_full_matrix_iteration(self, case):
-        D, Y0, max_iter = case
-        Y, stresses = smacof(D, Y0, max_iter=max_iter, tol=0.0)
+        X, Y0, max_iter = case
+        D = squareform(pdist(X))
+        Y, stresses = smacof(distance_tiles(X), Y0, max_iter=max_iter, tol=0.0)
         want_Y, want_stresses, scale = smacof_reference(D, Y0, max_iter=max_iter, tol=0.0)
         # The block sweep sums each row in another order: round-off only.
         # Y then carries about an ulp of yscale, and each residual D - d about
@@ -298,21 +301,41 @@ class TestMdsForms:
             return
         assert np.abs(Y - want_Y).max() <= 1e-12 * yscale
 
+    @pytest.mark.parametrize("npts", [3, 255, 256, 257, 600, 1024])
+    def test_tiles_are_the_blocks_of_the_distance_matrix(self, npts):
+        rng = np.random.default_rng(npts)
+        X = rng.normal(size=(npts, 5))
+        src, dst = rng.integers(0, npts, size=(2, npts // 3 + 1))
+        X[dst] = X[src]  # repeated rows, across blocks too
+        D = cdist(X, X)
+        size = reducers.SMACOF_BLOCK
+        blocks = [slice(s, min(s + size, npts)) for s in range(0, npts, size)]
+        want = [D[rows, cols] for a, rows in enumerate(blocks) for cols in blocks[a:]]
+        tiles = distance_tiles(X)
+        assert len(tiles) == len(want)
+        for tile, block in zip(tiles, want):
+            assert tile.flags.c_contiguous
+            assert tile.shape == block.shape
+            assert tile.tobytes() == np.ascontiguousarray(block).tobytes()
+        half = 0.5 * float((D**2).sum())
+        assert abs(reducers._pair_sum_squares(tiles, npts) - half) <= 1e-12 * half
+
     def test_smacof_keeps_no_square_scratch(self):
         rng = np.random.default_rng(4)
         npts = 1000
-        D = squareform(pdist(rng.normal(size=(npts, 5))))
+        tiles = distance_tiles(rng.normal(size=(npts, 5)))
         Y0 = rng.normal(size=(npts, 2))
         tracemalloc.start()
         try:
-            smacof(D, Y0, max_iter=3, tol=0.0)
+            smacof(tiles, Y0, max_iter=3, tol=0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * D.nbytes
+        assert peak < 0.5 * npts * npts * 8  # half of an N x N array's bytes
 
     def test_mds_project_holds_one_distance_matrix(self):
-        # D is the only N x N array; no condensed copy lives beside it
+        # no N x N array: the upper-triangle distance tiles (0.63 of an
+        # N x N array at N = 1024) and SMACOF's two 256 x 256 buffers (0.12)
         npts = 1024
         X = np.random.default_rng(4).normal(size=(npts, 7))
         tracemalloc.start()
@@ -321,34 +344,61 @@ class TestMdsForms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.35 * npts * npts * 8  # D's bytes
+        assert peak < 0.8 * npts * npts * 8  # an N x N array's bytes
 
     def test_smacof_does_not_depend_on_blas_threads(self):
         # k = 4 puts 5 columns in each block product, above OpenBLAS's
-        # single-thread size, and N = 600 is two full blocks and a ragged one.
-        # Each run is a fresh interpreter, because a BLAS library reads its
-        # thread count once, when it loads.
+        # single-thread size, and N = 600 is two full blocks and a ragged one
         script = textwrap.dedent("""
             import sys
             import numpy as np
-            from scipy.spatial.distance import cdist
-            from curvebench.reducers import smacof
+            from curvebench.reducers import distance_tiles, smacof
             rng = np.random.default_rng(19)
             X = rng.normal(size=(600, 6))
-            Y, stresses = smacof(cdist(X, X), rng.normal(size=(600, 4)), 8, 0.0)
+            Y, stresses = smacof(distance_tiles(X), rng.normal(size=(600, 4)), 8, 0.0)
             sys.stdout.write(Y.tobytes().hex() + " " + np.array(stresses).tobytes().hex())
         """)
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(Path(reducers.__file__).parent.parent)]
-                + [p for p in [env.get("PYTHONPATH")] if p])
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
+        outputs = outputs_at_one_and_two_blas_threads(script)
         assert outputs[0] == outputs[1]
+
+    def test_exact_embedding_stops_at_the_round_off_floor(self):
+        # Classical MDS of a flat-flat instance is exact, so from there on
+        # every stress is round-off, and without the floor the number of
+        # iterations before a round-off decrease fell below tol was up to 16
+        # under a 1e-15 relative perturbation of the start.
+        script = textwrap.dedent("""
+            import numpy as np
+            from curvebench import reducers
+            from curvebench.generator import enumerate_suite, makegen
+            from curvebench.geometry import unit_grid
+            desc = next(d for d in enumerate_suite(base_seed=0, grid_resolution=32)
+                        if d.instance_id.startswith("flat1.2-flat1.8"))
+            X = makegen(desc).evaluate(unit_grid(2, 32).points()).points
+            tiles = reducers.distance_tiles(X)
+            init = reducers.classical_mds(X, 2)
+            rng = np.random.default_rng(0)
+            for z in [np.zeros_like(init)] + [rng.normal(size=init.shape) for _ in range(3)]:
+                _, stresses = reducers.smacof(tiles, init * (1 + 1e-15 * z), 150, 1e-7)
+                print(len(stresses) - 1)
+        """)
+        outputs = outputs_at_one_and_two_blas_threads(script)
+        assert outputs[0] == outputs[1] == "1\n" * 4
+
+
+def outputs_at_one_and_two_blas_threads(script):
+    """stdout of ``script`` run by a fresh interpreter at one and at two BLAS
+    threads: a BLAS library reads its thread count once, when it loads."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(reducers.__file__).parent.parent)]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    return outputs
 
 
 class TestNpr:
