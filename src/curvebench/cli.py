@@ -12,6 +12,7 @@ import time
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -71,6 +72,21 @@ def _add_estimator_flags(parser):
                         help="neighborhood size for the NPR baseline")
 
 
+def _add_instance_flags(parser):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    parser.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    parser.add_argument("--theta-easy", type=float, default=THETA_EASY)
+    parser.add_argument("--theta-hard", type=float, default=THETA_HARD)
+
+
+def _suite_descriptors(args) -> list:
+    """The instances of the suite that the instance flags describe."""
+    return enumerate_suite(theta_easy=args.theta_easy, theta_hard=args.theta_hard,
+                           eta=args.eta, base_seed=_master_seed(args),
+                           grid_resolution=args.resolution)
+
+
 def _mds_settings(args, method: str) -> dict:
     """The ``--mds-*`` flags as ``method``'s hyperparameters; none unless MDS."""
     return {"max_iter": args.mds_max_iter, "tol": args.mds_tol} if method == "mds" else {}
@@ -102,6 +118,20 @@ def _check_scoring_args(grid, config: EstimationConfig, kn: int) -> None:
     check_kn(grid.num_points, kn)
 
 
+def _grid_rows(name: str, array, npts: int) -> np.ndarray:
+    """``array`` as finite float rows, one per grid node, or a ValueError
+    naming it ``name``."""
+    array = np.asarray(array, dtype=float)
+    if array.ndim != 2 or array.shape[1] == 0:
+        raise ValueError(f"{name} must be a 2-D array with at least one column, "
+                         f"got shape {array.shape}")
+    if array.shape[0] != npts:
+        raise ValueError(f"{name} has {array.shape[0]} rows but the instance grid has {npts}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} entries must be finite")
+    return array
+
+
 def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
                     kn: int = DEFAULT_KN, dataset=None) -> dict:
     """Score one embedding against its instance: curvature score plus NPR.
@@ -112,21 +142,9 @@ def score_embedding(descriptor: InstanceDescriptor, Y, config: EstimationConfig,
     grid = unit_grid(descriptor.n, descriptor.grid_resolution)
     _check_scoring_args(grid, config, kn)
     npts = grid.num_points
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[0] != npts:
-        raise ValueError(
-            f"embedding has {Y.shape[0]} rows but the instance grid has {npts}"
-        )
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("embedding entries must be finite")
+    Y = _grid_rows("embedding", Y, npts)
     if dataset is not None:
-        dataset = np.asarray(dataset, dtype=float)
-        if dataset.shape[0] != npts:
-            raise ValueError(
-                f"dataset has {dataset.shape[0]} rows but the instance grid has {npts}"
-            )
-        if not np.all(np.isfinite(dataset)):
-            raise ValueError("dataset entries must be finite")
+        dataset = _grid_rows("dataset", dataset, npts)
     start = time.perf_counter()
     result = roundtrip_score(grid, Y, config)
     diag = result.field.diagnostics
@@ -160,13 +178,7 @@ def cmd_generate(args) -> int:
     if args.instance:
         descriptors = [fileio.read_instance_json(args.instance)]
     elif args.suite:
-        descriptors = enumerate_suite(
-            theta_easy=args.theta_easy,
-            theta_hard=args.theta_hard,
-            eta=args.eta,
-            base_seed=_master_seed(args),
-            grid_resolution=args.resolution,
-        )
+        descriptors = _suite_descriptors(args)
     elif args.families and args.thetas:
         families = args.families.split(",")
         thetas = [float(t) for t in args.thetas.split(",")]
@@ -190,10 +202,12 @@ def cmd_generate(args) -> int:
 
 def cmd_reduce(args) -> int:
     X = fileio.read_point_cloud_csv(args.dataset, prefix="x")
+    start = time.perf_counter()
     result = reduce_dataset(
         args.method, X, args.k, seed=_master_seed(args), timeout=args.timeout,
         hyperparameters=_mds_settings(args, args.method),
     )
+    wall_time = time.perf_counter() - start
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_point_cloud_csv(out, result.Y, prefix="y")
@@ -202,7 +216,7 @@ def cmd_reduce(args) -> int:
         {
             "method": result.method,
             "hyperparameters": result.hyperparameters,
-            "wall_time": result.wall_time,
+            "wall_time": wall_time,
             "dataset": str(args.dataset),
         },
     )
@@ -235,43 +249,45 @@ def cmd_score(args) -> int:
 # ----------------------------------------------------------------------
 # suite
 
-def _run_suite_job(job):
-    """One (instance, method, repeat) evaluation; returns a report dict.
+def _failed(report: dict, exc: Exception) -> dict:
+    """``report`` marked ``failed`` by ``exc``; called in the ``except`` block
+    that caught ``exc``.  The ``error`` starts with the exception's type, and
+    one outside the package's and the reducers' refusals (CurvebenchError,
+    ValueError) also keeps its traceback."""
+    report.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+    if not isinstance(exc, (CurvebenchError, ValueError)):
+        report["traceback"] = traceback.format_exc()  # a fault: keep where it happened
+    return report
 
-    Any exception the job raises becomes a ``failed`` report whose
-    ``error`` starts with the exception's type, so one job cannot take the
-    suite down; one outside the package's and the reducers' refusals
-    (CurvebenchError, ValueError) also keeps its traceback.  Module-level
-    so it can cross a process pool boundary.
-    """
-    desc_obj, method, repeat, config, kn, hyperparameters = job
-    descriptor = replace(
-        desc_obj, seed=derive_seed(desc_obj.seed, f"repeat-{repeat}")
-    )
-    report = {
-        "instance_id": descriptor.instance_id,
-        "method": method,
-        "repeat": repeat,
-        "status": "ok",
-    }
+
+def _reduce_and_score(descriptor, method, reducer_seed, config, kn, hyperparameters,
+                      dataset=None) -> dict:
+    """Reduce the instance's dataset (generated unless given) with ``method``,
+    score the embedding and return the report; any exception gives a
+    :func:`_failed` report, so one run cannot take a suite or a tune down."""
+    report = {"instance_id": descriptor.instance_id, "method": method, "status": "ok"}
     try:
-        X = _dataset(descriptor)
-        reducer_seed = derive_seed(descriptor.seed, f"{method}-reduce")
+        X = _dataset(descriptor) if dataset is None else dataset
+        start = time.perf_counter()
         result = reduce_dataset(method, X, descriptor.n, seed=reducer_seed,
                                 hyperparameters=hyperparameters)
-        scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
-        report.update(scored)
-        report["method"] = method
-        report["hyperparameters"] = result.hyperparameters
-        report["wall_time_reduce"] = result.wall_time
-        report["seeds"] = {"instance": descriptor.seed, "reducer": reducer_seed}
+        wall_time = time.perf_counter() - start
+        report.update(score_embedding(descriptor, result.Y, config, kn=kn, dataset=X),
+                      hyperparameters=result.hyperparameters, wall_time_reduce=wall_time,
+                      seeds={"instance": descriptor.seed, "reducer": reducer_seed})
     except Exception as exc:
-        report["status"] = "failed"
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        if not isinstance(exc, (CurvebenchError, ValueError)):
-            # not a refusal of the inputs but a fault: keep where it happened
-            report["traceback"] = traceback.format_exc()
+        _failed(report, exc)
     return report
+
+
+def _run_suite_job(job):
+    """One (instance, method, repeat) evaluation; returns a report dict.
+    Module-level so it can cross a process pool boundary."""
+    desc_obj, method, repeat, config, kn, hyperparameters = job
+    descriptor = replace(desc_obj, seed=derive_seed(desc_obj.seed, f"repeat-{repeat}"))
+    reducer_seed = derive_seed(descriptor.seed, f"{method}-reduce")
+    return dict(_reduce_and_score(descriptor, method, reducer_seed, config, kn,
+                                  hyperparameters), repeat=repeat)
 
 
 def _summary_line(report) -> str:
@@ -298,13 +314,7 @@ def cmd_suite(args) -> int:
             print(f"suite: method {method!r} appears twice in --methods", file=sys.stderr)
             return 2
     master_seed = _master_seed(args)
-    descriptors = enumerate_suite(
-        theta_easy=args.theta_easy,
-        theta_hard=args.theta_hard,
-        eta=args.eta,
-        base_seed=master_seed,
-        grid_resolution=args.resolution,
-    )
+    descriptors = _suite_descriptors(args)
     if args.limit:
         descriptors = descriptors[: args.limit]
     config = _estimator_config(args)
@@ -349,7 +359,15 @@ def cmd_suite(args) -> int:
     workers = min(args.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_suite_job, jobs))
+            futures = [pool.submit(_run_suite_job, job) for job in jobs]
+            reports = []
+            for job, future in zip(jobs, futures):
+                try:
+                    reports.append(future.result())
+                except BrokenProcessPool as exc:  # a worker died before this job was done
+                    desc, method, repeat = job[:3]
+                    reports.append(_failed({"instance_id": desc.instance_id, "method": method,
+                                            "repeat": repeat}, exc))
     else:
         reports = [_run_suite_job(job) for job in jobs]
 
@@ -493,15 +511,14 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
     draws = []
     for draw_index in range(budget):
         draw = {"hyperparameters": _sample_space(space, rng)}
-        try:
-            result = reduce_dataset(method, X, descriptor.n, seed=seed,
-                                    hyperparameters={**(settings or {}),
-                                                     **draw["hyperparameters"]})
-            scored = score_embedding(descriptor, result.Y, config, kn=kn, dataset=X)
-            draw["objective"] = scored["curvature_score"] if objective == "curvature" \
-                else -scored["npr"]
-        except (CurvebenchError, ValueError) as exc:
-            draw.update(objective=float("inf"), error=f"{type(exc).__name__}: {exc}")
+        report = _reduce_and_score(descriptor, method, seed, config, kn,
+                                   {**(settings or {}), **draw["hyperparameters"]}, dataset=X)
+        if report["status"] == "ok":
+            draw["objective"] = report["curvature_score"] if objective == "curvature" \
+                else -report["npr"]
+        else:
+            draw["objective"] = float("inf")
+            draw.update((key, report[key]) for key in ("error", "traceback") if key in report)
         draws.append(draw)
         if best is None or draw["objective"] < best["objective"]:
             best = dict(draw, draw=draw_index)
@@ -544,6 +561,17 @@ SVG_SIZE = 520
 SVG_MARGIN = 40
 
 
+def _svg(elements) -> str:
+    """A white SVG_SIZE x SVG_SIZE canvas holding ``elements``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+        *elements,
+        "</svg>",
+    ]) + "\n"
+
+
 def _scatter_svg(points) -> str:
     pts = np.asarray(points, dtype=float)
     npts = pts.shape[0]
@@ -553,11 +581,7 @@ def _scatter_svg(points) -> str:
     spread = np.ptp(pts, axis=0)
     extent = np.where(spread > 0, spread, 1.0)
     span = SVG_SIZE - 2 * SVG_MARGIN
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-    ]
+    out = []
     for idx, p in enumerate(pts):
         cx = SVG_MARGIN + span * (p[0] - lo[0]) / extent[0]
         cy = SVG_SIZE - SVG_MARGIN - span * (p[1] - lo[1]) / extent[1]
@@ -573,16 +597,11 @@ def _scatter_svg(points) -> str:
         out.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="rgb({r},{g},{b})"/>'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(out)
 
 
-def _box_svg(summary_rows) -> str:
-    by_method = {}
-    for row in summary_rows:
-        if row["status"] != "ok":
-            continue
-        by_method.setdefault(row["method"], []).append(float(row["score"]))
+def _box_svg(by_method) -> str:
+    """Box glyphs of the scores of each method, a dict method -> scores."""
     if not by_method:
         raise ValueError("summary contains no successful runs to plot")
     methods = sorted(by_method)
@@ -590,11 +609,7 @@ def _box_svg(summary_rows) -> str:
     hi = hi if hi > 0 else 1.0
     span = SVG_SIZE - 2 * SVG_MARGIN
     width = span / len(methods)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-        f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-    ]
+    out = []
     for pos, method in enumerate(methods):
         values = np.array(by_method[method])
         q0, q1, q2, q3, q4 = np.percentile(values, [0, 25, 50, 75, 100])
@@ -613,8 +628,33 @@ def _box_svg(summary_rows) -> str:
             f'<text x="{cx:.2f}" y="{SVG_SIZE - 10}" text-anchor="middle" font-size="14">{method}</text>'
             f"</g>"
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(out)
+
+
+def _summary_scores(path, text: str) -> dict:
+    """method -> scores of the ok rows of a summary.csv's ``text``."""
+    header = SUMMARY_HEADER.split(",")
+    by_method = {}
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
+                             f"got {len(cells)}")
+        row = dict(zip(header, cells))
+        if row["status"] != "ok":
+            continue
+        try:
+            score = float(row["score"])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric score {row['score']!r} "
+                             "on an ok row") from None
+        if not np.isfinite(score):
+            raise ValueError(f"{path}:{lineno}: non-finite score {row['score']!r} "
+                             "on an ok row")
+        by_method.setdefault(row["method"], []).append(score)
+    return by_method
 
 
 def cmd_plot(args) -> int:
@@ -635,26 +675,7 @@ def cmd_plot(args) -> int:
             )
         out.write_text(_scatter_svg(pts))
     elif ",".join(header) == SUMMARY_HEADER:
-        rows = []
-        for lineno, line in enumerate(text.splitlines()[1:], start=2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, "
-                                 f"got {len(cells)}")
-            row = dict(zip(header, cells))
-            if row["status"] == "ok":
-                try:
-                    score = float(row["score"])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric score {row['score']!r} "
-                                     "on an ok row") from None
-                if not np.isfinite(score):
-                    raise ValueError(f"{path}:{lineno}: non-finite score {row['score']!r} "
-                                     "on an ok row")
-            rows.append(row)
-        out.write_text(_box_svg(rows))
+        out.write_text(_box_svg(_summary_scores(path, text)))
     else:
         raise ValueError(f"unrecognized CSV header {first!r}")
     print(f"wrote {out}")
@@ -677,12 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--suite", action="store_true", help="emit the full 60-instance suite")
     gen.add_argument("--families", help="comma-separated curvature families")
     gen.add_argument("--thetas", help="comma-separated theta values")
-    gen.add_argument("--eta", type=float, default=DEFAULT_ETA)
     gen.add_argument("--m", type=int, default=DEFAULT_M)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    gen.add_argument("--theta-easy", type=float, default=THETA_EASY)
-    gen.add_argument("--theta-hard", type=float, default=THETA_HARD)
+    _add_instance_flags(gen)
     gen.add_argument("--identity-rotation", action="store_true",
                      help="test hook: skip the random rotation")
     gen.add_argument("--out-dir", default="curvebench-out")
@@ -712,11 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     sui = sub.add_parser("suite", help="run the full generate/reduce/score pipeline")
     sui.add_argument("--methods", default="pca,tsvd,mds")
     sui.add_argument("--repeats", type=int, default=3)
-    sui.add_argument("--seed", type=int, default=0)
-    sui.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    sui.add_argument("--eta", type=float, default=DEFAULT_ETA)
-    sui.add_argument("--theta-easy", type=float, default=THETA_EASY)
-    sui.add_argument("--theta-hard", type=float, default=THETA_HARD)
+    _add_instance_flags(sui)
     sui.add_argument("--mds-max-iter", type=int, default=150)
     sui.add_argument("--mds-tol", type=float, default=1e-7)
     sui.add_argument("--workers", type=int, default=1)

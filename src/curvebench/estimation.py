@@ -151,13 +151,11 @@ def _solve_knn(v, w):
     return mats, failed
 
 
-def _canonical_order(neighbors, image_neighbors=None):
+def _canonical_order(neighbors, image_neighbors):
     """Canonical row order of each node's neighbors: by source coordinates,
     first axis first, then by image coordinates."""
-    keys = tuple(neighbors[..., c] for c in range(neighbors.shape[-1] - 1, -1, -1))
-    if image_neighbors is not None:
-        keys = tuple(image_neighbors[..., c]
-                     for c in range(image_neighbors.shape[-1] - 1, -1, -1)) + keys
+    keys = tuple(a[..., c] for a in (image_neighbors, neighbors)
+                 for c in range(a.shape[-1] - 1, -1, -1))
     return np.lexsort(keys, axis=-1)
 
 

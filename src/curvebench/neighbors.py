@@ -63,8 +63,8 @@ def nearest_neighbors(points, k: int) -> np.ndarray:
         radius, cand = tree.query(pts[rows], k=width)
         keys = pdist_squared_distance(pts[rows, None, :] - pts[cand])
         # The row itself sorts last, so a duplicate of it stays a neighbor.
-        is_self = cand == rows[:, None]
-        order = np.lexsort((cand, keys, is_self), axis=-1)[:, :k]
+        keys[cand == rows[:, None]] = np.inf
+        order = np.lexsort((cand, keys), axis=-1)[:, :k]
         out[rows] = np.take_along_axis(cand, order, axis=-1)
         if width == npts:
             break

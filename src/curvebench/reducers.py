@@ -11,7 +11,6 @@ import numbers
 import shlex
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -35,7 +34,6 @@ class EmbeddingResult:
     Y: np.ndarray
     method: str
     hyperparameters: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def __post_init__(self):
         y = np.asarray(self.Y, dtype=float)
@@ -52,16 +50,16 @@ def _check_k(X, k):
         raise ValueError(f"k must be in [1, {min(n_rows, n_cols)}], got {k}")
 
 
-def _oriented_loadings(M, k):
-    """Top-k right singular vectors, each flipped so its largest-magnitude
-    entry is positive (deterministic orientation)."""
+def _principal_scores(M, k):
+    """``M`` on its top-k right singular vectors, each flipped so its
+    largest-magnitude entry is positive (deterministic orientation)."""
     _, _, vt = np.linalg.svd(M, full_matrices=False)
     vt = vt[:k].copy()
     for comp in range(k):
         lead = np.argmax(np.abs(vt[comp]))
         if vt[comp, lead] < 0:
             vt[comp] = -vt[comp]
-    return vt
+    return M @ vt.T
 
 
 def pca_project(X, k: int) -> EmbeddingResult:
@@ -72,27 +70,15 @@ def pca_project(X, k: int) -> EmbeddingResult:
     """
     X = np.asarray(X, dtype=float)
     _check_k(X, k)
-    start = time.perf_counter()
-    centered = X - X.mean(axis=0)
-    vt = _oriented_loadings(centered, k)
-    Y = centered @ vt.T
-    return EmbeddingResult(
-        Y=Y, method="pca", hyperparameters={"k": k},
-        wall_time=time.perf_counter() - start,
-    )
+    Y = _principal_scores(X - X.mean(axis=0), k)
+    return EmbeddingResult(Y=Y, method="pca", hyperparameters={"k": k})
 
 
 def truncated_svd_project(X, k: int) -> EmbeddingResult:
     """Rank-k factor coordinates of the raw (uncentered) matrix."""
     X = np.asarray(X, dtype=float)
     _check_k(X, k)
-    start = time.perf_counter()
-    vt = _oriented_loadings(X, k)
-    Y = X @ vt.T
-    return EmbeddingResult(
-        Y=Y, method="tsvd", hyperparameters={"k": k},
-        wall_time=time.perf_counter() - start,
-    )
+    return EmbeddingResult(Y=_principal_scores(X, k), method="tsvd", hyperparameters={"k": k})
 
 
 def classical_mds(X, k: int) -> np.ndarray:
@@ -100,8 +86,7 @@ def classical_mds(X, k: int) -> np.ndarray:
     of ``X``.  The double-centered squared distances -1/2 J D^2 J equal
     (JX)(JX)^T, so its top-k eigenvectors scaled by the root eigenvalues are
     the PCA scores of ``X`` (Gower 1966).  Columns past min(N, m) are zero."""
-    centered = X - X.mean(axis=0)
-    Y = centered @ _oriented_loadings(centered, min(k, *X.shape)).T
+    Y = _principal_scores(X - X.mean(axis=0), min(k, *X.shape))
     return np.pad(Y, ((0, 0), (0, k - Y.shape[1])))
 
 
@@ -215,7 +200,6 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
         raise ValueError(f"k must be in [1, {len(X)}] for {len(X)} points, got {k}")
     if not np.all(np.isfinite(X)):
         raise ValueError("distances must be finite")
-    start = time.perf_counter()
     tiles = distance_tiles(X)
     Y, stresses = smacof(tiles, classical_mds(X, k), max_iter, tol)
     denom = _pair_sum_squares(tiles, len(X))
@@ -230,7 +214,6 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
             "n_iter": len(stresses) - 1,
             "normalized_stress": float(normalized),
         },
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -324,7 +307,6 @@ def run_external_reducer(
                         for text in (run.stdout, run.stderr))
             return error(message, command=rendered, stdout=out, stderr=err)
 
-        start = time.perf_counter()
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, cwd=tmp)
         except subprocess.TimeoutExpired as exc:
@@ -334,7 +316,6 @@ def run_external_reducer(
         except OSError as exc:  # missing or not executable: a shell's status 127
             raise ReducerExitError(f"external reducer could not be started: {exc}",
                                    command=rendered) from None
-        elapsed = time.perf_counter() - start
         if proc.returncode != 0:
             raise protocol_error(ReducerExitError,
                                  f"external reducer exited with status {proc.returncode}", proc)
@@ -355,7 +336,6 @@ def run_external_reducer(
             Y=Y,
             method="external",
             hyperparameters={"command": command, "k": k, "seed": seed},
-            wall_time=elapsed,
         )
 
 

@@ -1,7 +1,8 @@
 """One pass of every benchmark workload, checked against bench/reference/.
 
-A change that moves any stored reference output shows here as a failed
-operation, before a full benchmark run.
+A pass draws a sample of the stored operations (47 of the 341), so this
+checks that ``bench/run.py`` runs end to end; ``test_bench_references.py``
+checks every stored reference output.
 """
 
 import json

@@ -1,5 +1,6 @@
 """CLI pipeline: generate, reduce, score, suite, tune, plot."""
 
+import functools
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +210,21 @@ class TestReduceAndScore:
                             EstimationConfig(trim=trim, k_neighbors=k_neighbors), kn=kn,
                             dataset=X)
 
+    def test_malformed_embedding_or_dataset_rejected_before_any_fit(self, tmp_path,
+                                                                    monkeypatch):
+        inst, csv = generate_flat(tmp_path)
+        descriptor = fileio.read_instance_json(inst)
+        X = fileio.read_point_cloud_csv(csv, prefix="x")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started before the array check")
+
+        monkeypatch.setattr(cli, "roundtrip_score", no_fit)
+        with pytest.raises(ValueError, match=r"embedding must be a 2-D array .*\(256, 0\)"):
+            score_embedding(descriptor, X[:, :0], EstimationConfig(), dataset=X)
+        with pytest.raises(ValueError, match=r"dataset must be a 2-D array .*\(256,\)"):
+            score_embedding(descriptor, X[:, :2], EstimationConfig(), dataset=X[:, 0])
+
     def test_two_scores_search_the_grid_once(self, tmp_path, monkeypatch):
         inst, csv = generate_flat(tmp_path, identity=False, eta="0.01")
         descriptor = fileio.read_instance_json(inst)
@@ -256,12 +273,12 @@ class TestReduceAndScore:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """The suite's process pool, run in this process.  Returns the list of
-    (max_workers, chunksize) of every map the suite asks it for."""
+    (max_workers, calls submitted) of every pool the suite opens."""
     pools = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            self.max_workers = max_workers
+            pools.append((max_workers, 0))
 
         def __enter__(self):
             return self
@@ -269,9 +286,11 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            pools.append((self.max_workers, chunksize))
-            return map(fn, jobs)
+        def submit(self, fn, *args):
+            pools[-1] = (pools[-1][0], pools[-1][1] + 1)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     return pools
@@ -384,13 +403,13 @@ class TestSuite:
 
     @pytest.mark.parametrize("methods,workers,want", [
         ("pca", 8, []),
-        ("pca,tsvd", 8, [(2, 1)]),
-        ("pca,tsvd,mds", 2, [(2, 1)]),
+        ("pca,tsvd", 8, [(2, 2)]),
+        ("pca,tsvd,mds", 2, [(2, 3)]),
     ])
     def test_pool_is_no_larger_than_the_job_count(self, tmp_path, in_process_pool,
                                                   methods, workers, want):
         # a fork pool starts every worker at once, so it must not outnumber the
-        # jobs, and it hands them out one at a time (chunksize 1)
+        # jobs, and it hands them out one at a time (one submit per job)
         assert run([
             "suite", "--methods", methods, "--limit", "1", "--repeats", "1", "--resolution",
             "12", "--mds-max-iter", "5", "--workers", workers, "--out-dir", tmp_path / "out",
@@ -399,7 +418,7 @@ class TestSuite:
         assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 1 + len(
             methods.split(","))
 
-    @pytest.mark.parametrize("workers,pools", [(1, []), (2, [(2, 1)])])
+    @pytest.mark.parametrize("workers,pools", [(1, []), (2, [(2, 4)])])
     def test_unexpected_job_error_is_a_failed_row(self, tmp_path, monkeypatch,
                                                   in_process_pool, workers, pools):
         # an exception outside the reducers' own error types, raised by one job
@@ -430,6 +449,35 @@ class TestSuite:
         failed = [rep for rep in reports if rep["status"] == "failed"]
         assert [rep["error"] for rep in failed] == ["RuntimeError: reducer crashed"]
         assert "first_tsvd_raises" in failed[0]["traceback"]
+
+    @pytest.mark.parametrize("delay", ["", "sleep 1; "], ids=["at-once", "after-pca"])
+    def test_dead_worker_leaves_a_complete_summary(self, tmp_path, monkeypatch, delay):
+        # the reducer's sh kills its parent, the pool worker running the job;
+        # never run it in this process, where that parent would be pytest
+        parent, run_suite_job = os.getpid(), cli._run_suite_job
+
+        @functools.wraps(run_suite_job)
+        def in_a_worker(job):
+            assert os.getpid() != parent, "a suite job ran in the calling process"
+            return run_suite_job(job)
+
+        monkeypatch.setattr(cli, "_run_suite_job", in_a_worker)
+        out = tmp_path / "out"
+        kill = f"external:sh -c '{delay}kill -9 $PPID' {{input}} {{output}} {{k}}"
+        code = run(["suite", "--methods", f"pca,{kill}", "--limit", "1", "--repeats", "1",
+                    "--resolution", "12", "--workers", "2", "--out-dir", out])
+        reports = {rep["method"]: rep for rep in
+                   (json.loads(path.read_text()) for path in (out / "reports").glob("*.json"))}
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert sorted(reports) == [kill, "pca"] and len(rows) == 2
+        assert reports[kill]["error"].startswith("BrokenProcessPool: ")
+        if delay:  # the pca job was done before the worker died, and keeps its row
+            assert reports["pca"]["status"] == "ok"
+        failed = [rep for rep in reports.values() if rep["status"] == "failed"]
+        assert all(rep["error"].startswith("BrokenProcessPool: ") for rep in failed)
+        assert code == (1 if len(failed) == 2 else 0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == {"BrokenProcessPool": len(failed)}
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -696,6 +744,45 @@ class TestTune:
         monkeypatch.setattr(cli, "reduce_dataset", no_reduce)
         with pytest.raises(ValueError, match="kn must be"):
             tune_hyperparameters("pca", {}, 3, descriptor, EstimationConfig(), kn=0)
+
+    @staticmethod
+    def first_reduction_raises(monkeypatch):
+        reduce_dataset = cli.reduce_dataset
+        calls = []
+
+        def first_call_raises(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 1:
+                raise RuntimeError("reducer crashed")
+            return reduce_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce_dataset", first_call_raises)
+        return calls
+
+    def test_faulty_draw_is_a_failed_draw(self, tmp_path, monkeypatch):
+        inst, _ = generate_flat(tmp_path)
+        calls = self.first_reduction_raises(monkeypatch)
+        out = tmp_path / "tuned.json"
+        assert run(["tune", "--method", "pca", "--budget", "2", "--instance", inst,
+                    "--out", out]) == 0
+        draws = json.loads(out.read_text())["draws"]
+        assert calls == ["pca", "pca"]
+        assert draws[0]["objective"] == float("inf")
+        assert draws[0]["error"] == "RuntimeError: reducer crashed"
+        assert "first_call_raises" in draws[0]["traceback"]
+        assert "error" not in draws[1] and np.isfinite(draws[1]["objective"])
+
+    def test_faulty_draw_does_not_abort_the_suite(self, tmp_path, monkeypatch):
+        calls = self.first_reduction_raises(monkeypatch)
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"pca": {}}))
+        out = tmp_path / "out"
+        assert run(["suite", "--methods", "pca,tsvd", "--tune-space", path,
+                    "--tune-budget", "2", "--limit", "1", "--repeats", "1",
+                    "--resolution", "12", "--out-dir", out]) == 0
+        assert calls == ["pca", "pca", "pca", "tsvd"]  # two draws, then the suite's runs
+        status = [row.split(",")[-1] for row in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert status == ["ok", "ok"]
 
     def test_suite_tunes_mds_under_its_mds_flags(self, tmp_path, monkeypatch):
         calls = []
