@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import CurvebenchError, ScoringError, TuningError
+from .errors import CurvebenchError, ExternalReducerError, ScoringError, TuningError
 from .estimation import EstimationConfig, roundtrip_score
 from .generator import (
     DEFAULT_ETA,
@@ -253,8 +253,11 @@ def _failed(report: dict, exc: Exception) -> dict:
     """``report`` marked ``failed`` by ``exc``; called in the ``except`` block
     that caught ``exc``.  The ``error`` starts with the exception's type, and
     one outside the package's and the reducers' refusals (CurvebenchError,
-    ValueError) also keeps its traceback."""
+    ValueError) also keeps its traceback; an external reducer's failure keeps
+    the last 2,000 characters of what the reducer wrote to stderr."""
     report.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+    if isinstance(exc, ExternalReducerError):
+        report["stderr"] = exc.stderr[-2000:]
     if not isinstance(exc, (CurvebenchError, ValueError)):
         report["traceback"] = traceback.format_exc()  # a fault: keep where it happened
     return report
@@ -288,6 +291,31 @@ def _run_suite_job(job):
     reducer_seed = derive_seed(descriptor.seed, f"{method}-reduce")
     return dict(_reduce_and_score(descriptor, method, reducer_seed, config, kn,
                                   hyperparameters), repeat=repeat)
+
+
+def _pool_reports(jobs, workers: int) -> list:
+    """The reports of ``jobs`` run by a pool of ``workers`` processes.
+
+    Jobs are handed out one at a time, so the worker that draws a long MDS
+    job is not also holding a queue of others.  A worker that dies breaks
+    the pool: each job whose result it cannot deliver runs again after it
+    closes, alone in a fresh one-worker pool, and only a job that kills that
+    worker too is a failed ``BrokenProcessPool`` row.
+    """
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_suite_job, job) for job in jobs]
+    reports = []
+    for job, future in zip(jobs, futures):
+        try:
+            reports.append(future.result())
+        except BrokenProcessPool as exc:
+            if workers > 1:
+                reports.extend(_pool_reports([job], 1))
+            else:
+                desc, method, repeat = job[:3]
+                reports.append(_failed({"instance_id": desc.instance_id, "method": method,
+                                        "repeat": repeat}, exc))
+    return reports
 
 
 def _summary_line(report) -> str:
@@ -354,22 +382,9 @@ def cmd_suite(args) -> int:
         for repeat in range(1, args.repeats + 1)
         for method in methods
     ]
-    # one job at a time, so the worker that draws a long MDS job is not also
-    # holding a queue of others; a fork pool starts all its workers up front
+    # a fork pool starts all its workers up front
     workers = min(args.workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_suite_job, job) for job in jobs]
-            reports = []
-            for job, future in zip(jobs, futures):
-                try:
-                    reports.append(future.result())
-                except BrokenProcessPool as exc:  # a worker died before this job was done
-                    desc, method, repeat = job[:3]
-                    reports.append(_failed({"instance_id": desc.instance_id, "method": method,
-                                            "repeat": repeat}, exc))
-    else:
-        reports = [_run_suite_job(job) for job in jobs]
+    reports = _pool_reports(jobs, workers) if workers > 1 else [_run_suite_job(job) for job in jobs]
 
     reports.sort(key=lambda r: (r["instance_id"], r["method"], r["repeat"]))
     for rep in reports:
@@ -518,7 +533,8 @@ def tune_hyperparameters(method: str, space: dict, budget: int,
                 else -report["npr"]
         else:
             draw["objective"] = float("inf")
-            draw.update((key, report[key]) for key in ("error", "traceback") if key in report)
+            draw.update((key, report[key]) for key in ("error", "traceback", "stderr")
+                        if key in report)
         draws.append(draw)
         if best is None or draw["objective"] < best["objective"]:
             best = dict(draw, draw=draw_index)

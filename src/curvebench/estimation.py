@@ -40,7 +40,6 @@ from .geometry import (
     regularization_for,
     riemann_at,
     sectional_at,
-    sym_indices,
     unpack_symmetric,
 )
 from .neighbors import grid_neighbors
@@ -132,21 +131,21 @@ def _solve_knn(v, w):
     """
     num, k, n = v.shape
     targets = (w @ w.swapaxes(-1, -2)).reshape(w.shape[:-2] + (k * k, 1))
-    pairs = sym_indices(n)
-    design = np.empty((num, k * k, len(pairs)))
-    for col, (a, b) in enumerate(pairs):
+    i, j = np.triu_indices(n)
+    design = np.empty((num, k * k, len(i)))
+    for col, (a, b) in enumerate(zip(i, j)):
         block = v[:, :, None, a] * v[:, None, :, b]
         if a != b:
             block = block + v[:, :, None, b] * v[:, None, :, a]
         design[:, :, col] = block.reshape(num, k * k)
-    rcond = np.finfo(float).eps * max(k * k, len(pairs))
+    rcond = np.finfo(float).eps * max(k * k, len(i))
     with np.errstate(call=_raise_lstsq_error, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         solution, _, rank, _ = _umath_linalg.lstsq(
             design, targets, rcond, signature="ddd->ddid"
         )
-    mats = unpack_symmetric(solution.reshape(-1, len(pairs)), n, 1).reshape(rank.shape + (n, n))
-    failed = rank < len(pairs)
+    mats = unpack_symmetric(solution.reshape(-1, len(i)), n, 1).reshape(rank.shape + (n, n))
+    failed = rank < len(i)
     mats[failed] = EIG_FLOOR * np.eye(n)
     return mats, failed
 
@@ -224,12 +223,6 @@ def knn_metric_at(x, neighbors, image_x, image_neighbors) -> np.ndarray:
     return mats[0]
 
 
-def _node_list(mask) -> list:
-    """Flat indices of the set entries of a ([S,] N) node mask: node i of set
-    s is s * N + i."""
-    return [int(i) for i in np.flatnonzero(mask)]
-
-
 def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
     """KNN least-squares metric at every grid node, for one (N, m) sample
     set or for each set of an (S, N, m) stack.
@@ -268,8 +261,8 @@ def estimate_metric_knn(grid: TensorGrid, f_samples, k_neighbors: int):
     fixed = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(w, EIG_FLOOR), vecs)
     mats[clamped] = 0.5 * (fixed + fixed.swapaxes(-1, -2))
     diagnostics = {
-        "failed_nodes": _node_list(failed),
-        "clamped_nodes": _node_list(clamped),
+        "failed_nodes": np.flatnonzero(failed).tolist(),
+        "clamped_nodes": np.flatnonzero(clamped).tolist(),
     }
     return mats.reshape(f_samples.shape[:-2] + mats.shape[1:]), diagnostics
 
@@ -304,14 +297,11 @@ def _sectional_from_metric_data(grid, sets_shape, g, dg, d2g, mode):
     lam = regularization_for(g)
     riem = riemann_at(*christoffel(g, dg, d2g, lam))
     values, floored = sectional_at(g, riem, mode)
-    grid_shape = sets_shape + (grid.num_points,)
     diagnostics = {
-        "degenerate_nodes": _node_list(lam > 0),
-        "floored_plane_nodes": _node_list(floored),
-        # the largest weight of each set: a float for one set
-        "regularization": lam.reshape(grid_shape).max(axis=-1).tolist(),
+        "degenerate_nodes": np.flatnonzero(lam > 0).tolist(),
+        "floored_plane_nodes": np.flatnonzero(floored).tolist(),
     }
-    values = np.ascontiguousarray(values.T).reshape(grid_shape + (-1,))
+    values = np.ascontiguousarray(values.T).reshape(sets_shape + (grid.num_points, -1))
     return SectionalCurvatureField(grid=grid, values=values, diagnostics=diagnostics)
 
 
@@ -354,7 +344,7 @@ def curvature_from_metric_field(grid: TensorGrid, metrics, mode: str = "standard
     if metrics.ndim not in (3, 4) or metrics.shape[-3:] != (grid.num_points, n, n):
         raise ValueError("metric array must have shape ([S,] N, n, n)")
     sets = metrics.reshape((-1,) + metrics.shape[-3:])
-    i, j = np.array(sym_indices(n)).T
+    i, j = np.triu_indices(n)
     packed = 0.5 * (sets[..., i, j] + sets[..., j, i])
     g, dg, d2g = (unpack_symmetric(derivs, n, 0)
                   for derivs in _stacked_derivatives(grid, packed, (0, 1, 2)))
@@ -376,10 +366,8 @@ def _one_set(fld: SectionalCurvatureField, s: int) -> SectionalCurvatureField:
     """Set ``s`` of a stacked field, its node lists back on the grid."""
     num = fld.grid.num_points
     lo = s * num
-    diagnostics = {
-        key: val[s] if key == "regularization" else [i - lo for i in val if lo <= i < lo + num]
-        for key, val in fld.diagnostics.items()
-    }
+    diagnostics = {key: [i - lo for i in val if lo <= i < lo + num]
+                   for key, val in fld.diagnostics.items()}
     return replace(fld, values=fld.values[s], diagnostics=diagnostics)
 
 

@@ -45,25 +45,15 @@ REG_SCALE = 1e-8
 PLANE_FLOOR = 1e-12
 
 
-def pair_indices(n: int):
-    """Unordered coordinate pairs (i, j), i < j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def sym_indices(n: int):
-    """Upper-triangle index pairs (i, j), i <= j, in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def unpack_symmetric(packed, n: int, axis: int) -> np.ndarray:
     """Symmetric tensors from upper triangles packed along ``axis``.
 
-    The n(n+1)/2 components on ``axis``, in :func:`sym_indices` order,
+    The n(n+1)/2 components on ``axis``, in ``np.triu_indices(n)`` order,
     become two axes (i, j) in its place; the other axes are kept.
     """
+    i, j = np.triu_indices(n)
     col = np.empty((n, n), dtype=int)
-    for idx, (i, j) in enumerate(sym_indices(n)):
-        col[i, j] = col[j, i] = idx
+    col[i, j] = col[j, i] = np.arange(len(i))
     return np.take(np.asarray(packed, dtype=float), col, axis=axis)
 
 
@@ -143,7 +133,8 @@ def riemann_at(gamma, dgamma):
 
 
 def sectional_at(g, riem, mode: str = "standard"):
-    """Sectional curvatures of all coordinate planes, pairs (i, j), i < j.
+    """Sectional curvatures of all coordinate planes, pairs (i, j), i < j, in
+    ``np.triu_indices(n, 1)`` (lexicographic) order.
 
     The numerator contracts the curvature components with the metric; the
     denominator is the squared plane area D = g_ii g_jj - g_ij^2 in
@@ -158,7 +149,7 @@ def sectional_at(g, riem, mode: str = "standard"):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     g, riem = np.asarray(g, dtype=float), np.asarray(riem, dtype=float)
-    i, j = np.array(pair_indices(g.shape[0]), dtype=int).reshape(-1, 2).T
+    i, j = np.triu_indices(g.shape[0], 1)
     # sum over l in order from +0 whatever the layout: the same bits anywhere
     num = np.zeros(i.shape + g.shape[2:])
     for term in riem[:, i, j, j] * g[:, i]:
@@ -228,7 +219,7 @@ class SectionalCurvatureField:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        expect = (self.grid.num_points, len(pair_indices(self.grid.n)))
+        expect = (self.grid.num_points, self.grid.n * (self.grid.n - 1) // 2)
         if values.ndim not in (2, 3) or values.shape[-2:] != expect:
             raise ValueError(
                 f"sectional values must have shape ([S,] {expect[0]}, {expect[1]})"

@@ -98,6 +98,10 @@ def grid_neighbors(grid, k: int) -> np.ndarray:
     while rows.size:
         # per-axis half-widths, each capped where the window spans its axis
         halves = [min(width, size - 1) for size in shape]
+        if np.prod([2 * h + 1 for h in halves]) - 1 < k:
+            # a short axis caps the window below k other nodes: widen it
+            width *= 2
+            continue
         # window offsets in row-major order, so each row's candidates come
         # in ascending index order and a stable sort gives ties to the lowest
         offsets = np.meshgrid(*(np.arange(-h, h + 1) for h in halves), indexing="ij")

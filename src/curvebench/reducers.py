@@ -99,30 +99,28 @@ SMACOF_BLOCK = 256
 SMACOF_FLOOR = 1e4
 
 
-def _block_pairs(npts):
-    """The (rows, cols) slices of the row-block pairs rows <= cols of
-    ``npts`` points, in the order a SMACOF sweep visits them."""
-    blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
-    return [(rows, cols) for a, rows in enumerate(blocks) for cols in blocks[a:]]
-
-
 def distance_tiles(X):
-    """The Euclidean distances between the rows of ``X`` as contiguous tiles
-    ``cdist(X[rows], X[cols])``, one per block pair of :func:`_block_pairs`.
+    """The Euclidean distances between the rows of ``X`` as ``(rows, cols,
+    tile)`` triples, one per pair of SMACOF_BLOCK-row blocks rows <= cols, in
+    the order a SMACOF sweep visits them; ``tile`` is the contiguous
+    ``cdist(X[rows], X[cols])``.
 
     ``cdist`` computes each pair on its own, so every tile is byte-equal to
     the block ``cdist(X, X)[rows, cols]``; together the tiles hold the upper
     triangle of blocks, about half of the N x N matrix.
     """
     X = np.asarray(X, dtype=float)
-    return [cdist(X[rows], X[cols]) for rows, cols in _block_pairs(len(X))]
+    npts = len(X)
+    blocks = [slice(s, min(s + SMACOF_BLOCK, npts)) for s in range(0, npts, SMACOF_BLOCK)]
+    return [(rows, cols, cdist(X[rows], X[cols])) for a, rows in enumerate(blocks)
+            for cols in blocks[a:]]
 
 
-def _pair_sum_squares(tiles, npts):
-    """sum_{i<j} D_ij^2 over the distance tiles of ``npts`` points: a
-    diagonal tile holds each of its pairs twice, any other tile once."""
+def _pair_sum_squares(tiles):
+    """sum_{i<j} D_ij^2 over the distance tiles: a diagonal tile holds each
+    of its pairs twice, any other tile once."""
     return 0.5 * sum((1.0 if rows == cols else 2.0) * float(np.einsum("ij,ij->", tile, tile))
-                     for (rows, cols), tile in zip(_block_pairs(npts), tiles, strict=True))
+                     for rows, cols, tile in tiles)
 
 
 def _smacof_sweep(tiles, Y, bufs):
@@ -137,7 +135,7 @@ def _smacof_sweep(tiles, Y, bufs):
     Y1 = np.hstack([Y, np.ones((npts, 1))])
     acc = np.zeros_like(Y1)  # sum_j r_ij [y_j | 1]
     stress = 0.0
-    for (rows, cols), tile in zip(_block_pairs(npts), tiles, strict=True):
+    for rows, cols, tile in tiles:
         d, r = (buf[:tile.size].reshape(tile.shape) for buf in bufs)
         cdist(Y[rows], Y[cols], out=d)
         np.subtract(tile, d, out=r)
@@ -164,7 +162,7 @@ def smacof(tiles, init, max_iter: int, tol: float):
     arrays.
     """
     bufs = [np.empty(SMACOF_BLOCK * SMACOF_BLOCK) for _ in range(2)]
-    floor = SMACOF_FLOOR * np.finfo(float).eps ** 2 * _pair_sum_squares(tiles, len(init))
+    floor = SMACOF_FLOOR * np.finfo(float).eps ** 2 * _pair_sum_squares(tiles)
     Y = np.array(init, dtype=float)
     stress, transformed = _smacof_sweep(tiles, Y, bufs)
     stresses = [stress]
@@ -202,7 +200,7 @@ def mds_project(X, k: int, max_iter: int = 300, tol: float = 1e-9) -> EmbeddingR
         raise ValueError("distances must be finite")
     tiles = distance_tiles(X)
     Y, stresses = smacof(tiles, classical_mds(X, k), max_iter, tol)
-    denom = _pair_sum_squares(tiles, len(X))
+    denom = _pair_sum_squares(tiles)
     normalized = np.sqrt(stresses[-1] / denom) if denom > 0 else 0.0
     return EmbeddingResult(
         Y=Y,
@@ -263,6 +261,8 @@ def npr(x_high, y_low, kn: int = 10) -> float:
 
 
 REQUIRED_PLACEHOLDERS = ("{input}", "{output}", "{k}")
+# the names run_external_reducer fills in; no hyperparameter may take one
+PROTOCOL_NAMES = ("input", "output", "k", "seed")
 
 
 def run_external_reducer(
@@ -350,7 +350,8 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
     MDS reads ``max_iter`` and ``tol`` from ``hyperparameters``, each
     defaulting to and checked by :func:`mds_project`; PCA and tSVD read
     none, and a built-in reducer refuses a name it does not read.  An
-    external command has every hyperparameter substituted into its template.
+    external command has every hyperparameter substituted into its template,
+    and refuses one named after a protocol placeholder (:data:`PROTOCOL_NAMES`).
     """
     hyperparameters = dict(hyperparameters or {})
     if method in BUILTIN_HYPERPARAMETERS:
@@ -367,6 +368,10 @@ def reduce_dataset(method: str, X, k: int, seed: int = 0, *,
         return mds_project(X, k, **hyperparameters)
     if method.startswith("external:"):
         command = method.split(":", 1)[1]
+        for name in hyperparameters:
+            if name in PROTOCOL_NAMES:
+                raise ValueError(f"external hyperparameter {name!r} is a reducer protocol "
+                                 "placeholder; " + ", ".join(PROTOCOL_NAMES) + " are reserved")
         if hyperparameters:
             command = _render_hyperparameters(command, hyperparameters)
         return run_external_reducer(command, X, k, timeout=timeout, seed=seed)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from curvebench import cli, estimation, fileio, reducers
 from curvebench.cli import main, score_embedding, tune_hyperparameters
+from curvebench.errors import ReducerExitError, TuningError
 from curvebench.estimation import EstimationConfig
 
 FLAT_ID = "flat1.2-flat1.2-e0-r16-n2m7"
@@ -334,6 +335,18 @@ class TestSuite:
         assert status.count("ok") == 2
         assert status.count("failed") == 2
 
+    def test_failed_external_row_keeps_what_the_reducer_printed(self, tmp_path):
+        method = "external:sh -c 'echo why it failed >&2; exit 2' {input} {output} {k}"
+        out = tmp_path / "out"
+        assert run(["suite", "--methods", f"pca,{method}", "--limit", "1", "--repeats", "1",
+                    "--resolution", "12", "--out-dir", out]) == 0
+        reports = {rep["method"]: rep for rep in
+                   (json.loads(path.read_text()) for path in (out / "reports").glob("*.json"))}
+        assert reports[method]["error"] == \
+            "ReducerExitError: external reducer exited with status 2"
+        assert reports[method]["stderr"] == "why it failed\n"
+        assert "stderr" not in reports["pca"]
+
     def test_all_failures_fail_the_suite(self, tmp_path):
         stub = tmp_path / "fail.py"
         stub.write_text("#!/usr/bin/env python3\nimport sys\nsys.exit(2)\n")
@@ -464,20 +477,19 @@ class TestSuite:
         monkeypatch.setattr(cli, "_run_suite_job", in_a_worker)
         out = tmp_path / "out"
         kill = f"external:sh -c '{delay}kill -9 $PPID' {{input}} {{output}} {{k}}"
-        code = run(["suite", "--methods", f"pca,{kill}", "--limit", "1", "--repeats", "1",
+        code = run(["suite", "--methods", f"pca,{kill},tsvd", "--limit", "1", "--repeats", "1",
                     "--resolution", "12", "--workers", "2", "--out-dir", out])
         reports = {rep["method"]: rep for rep in
                    (json.loads(path.read_text()) for path in (out / "reports").glob("*.json"))}
         rows = (out / "summary.csv").read_text().splitlines()[1:]
-        assert sorted(reports) == [kill, "pca"] and len(rows) == 2
+        assert sorted(reports) == [kill, "pca", "tsvd"] and len(rows) == 3
+        # the jobs the broken pool stranded ran again, each alone in a fresh
+        # worker, and only the one that kills its worker failed
         assert reports[kill]["error"].startswith("BrokenProcessPool: ")
-        if delay:  # the pca job was done before the worker died, and keeps its row
-            assert reports["pca"]["status"] == "ok"
-        failed = [rep for rep in reports.values() if rep["status"] == "failed"]
-        assert all(rep["error"].startswith("BrokenProcessPool: ") for rep in failed)
-        assert code == (1 if len(failed) == 2 else 0)
+        assert reports["pca"]["status"] == reports["tsvd"]["status"] == "ok"
+        assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["failures"] == {"BrokenProcessPool": len(failed)}
+        assert manifest["failures"] == {"BrokenProcessPool": 1}
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -771,6 +783,28 @@ class TestTune:
         assert draws[0]["error"] == "RuntimeError: reducer crashed"
         assert "first_call_raises" in draws[0]["traceback"]
         assert "error" not in draws[1] and np.isfinite(draws[1]["objective"])
+
+    def test_failed_external_draw_keeps_the_tail_of_its_stderr(self, tmp_path, monkeypatch):
+        descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])
+        reduce_dataset = cli.reduce_dataset
+        printed = "x" * 1500 + "why it failed\n" * 200
+
+        def first_call_exits(*args, **kwargs):
+            monkeypatch.setattr(cli, "reduce_dataset", reduce_dataset)
+            raise ReducerExitError("external reducer exited with status 2", stderr=printed)
+
+        monkeypatch.setattr(cli, "reduce_dataset", first_call_exits)
+        draws = tune_hyperparameters("pca", {}, 2, descriptor, EstimationConfig())["draws"]
+        assert draws[0]["error"] == "ReducerExitError: external reducer exited with status 2"
+        assert draws[0]["stderr"] == printed[-2000:]
+        assert "stderr" not in draws[1]
+
+    def test_draw_named_after_a_protocol_placeholder_is_a_failed_draw(self, tmp_path):
+        descriptor = fileio.read_instance_json(generate_flat(tmp_path)[0])
+        with pytest.raises(TuningError, match="the first with ValueError: external "
+                                              "hyperparameter 'seed' is a reducer protocol"):
+            tune_hyperparameters("external:true {input} {output} {k} {seed}",
+                                 {"seed": {"values": [5]}}, 2, descriptor, EstimationConfig())
 
     def test_faulty_draw_does_not_abort_the_suite(self, tmp_path, monkeypatch):
         calls = self.first_reduction_raises(monkeypatch)

@@ -16,12 +16,12 @@ from curvebench.geometry import (
     TensorGrid,
     christoffel,
     l2_curvature_score,
-    pair_indices,
     pullback_from_jacobian,
     regularization_for,
     riemann_at,
     sectional_at,
     unit_grid,
+    unpack_symmetric,
 )
 
 
@@ -49,7 +49,7 @@ def symbolic_sectional(g_expr, coords, point):
 
     subs = dict(zip(coords, point))
     out = []
-    for i, j in pair_indices(n):
+    for i, j in zip(*np.triu_indices(n, 1)):
         num = sum(riem(l, j, i, j) * g_expr[l, i] for l in range(n))
         den = g_expr[i, i] * g_expr[j, j] - g_expr[i, j] ** 2
         out.append(float((num / den).subs(subs)))
@@ -71,6 +71,15 @@ def numeric_sectional_from_symbolic_metric(g_expr, coords, point, mode="standard
             for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
     )
     return sectional_at(g, riemann_at(*christoffel(g, dg, d2g)), mode=mode)[0], g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_components_and_planes_are_in_lexicographic_order(n):
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    mats = unpack_symmetric(np.arange(len(upper)), n, 0)
+    for idx, (i, j) in enumerate(upper):
+        assert mats[i, j] == mats[j, i] == idx
+    assert list(zip(*np.triu_indices(n, 1))) == [(i, j) for i, j in upper if i < j]
 
 
 class TestPullback:
@@ -202,7 +211,7 @@ def sectional_batch_first(g, riem, mode):
     """:func:`sectional_at` on batch-first arrays, pair by pair, kept as the
     reference its one fancy-indexed pass must equal bit for bit."""
     n = g.shape[-1]
-    pairs = pair_indices(n)
+    pairs = list(zip(*np.triu_indices(n, 1)))
     out = np.empty(g.shape[:-2] + (len(pairs),))
     floored = np.zeros(g.shape[:-2], dtype=bool)
     for idx, (i, j) in enumerate(pairs):

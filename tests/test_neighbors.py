@@ -123,6 +123,7 @@ def tensor_grids(draw):
 @example(case=(unit_grid(3, 10), 20))
 @example(case=(unit_grid(2, 4), 15))
 @example(case=(TensorGrid((np.array([0.0, 1.0]),)), 1))
+@example(case=(TensorGrid((np.arange(9) / 8, np.array([1.0, 2.0]))), 16))
 def test_grid_neighbors_match_brute_force(case):
     grid, k = case
     want = np.sort(grid_brute_force(grid.points(), k), axis=1)

@@ -312,13 +312,15 @@ class TestMdsForms:
         blocks = [slice(s, min(s + size, npts)) for s in range(0, npts, size)]
         want = [D[rows, cols] for a, rows in enumerate(blocks) for cols in blocks[a:]]
         tiles = distance_tiles(X)
+        assert [(rows, cols) for rows, cols, _ in tiles] == \
+            [(rows, cols) for a, rows in enumerate(blocks) for cols in blocks[a:]]
         assert len(tiles) == len(want)
-        for tile, block in zip(tiles, want):
+        for (_, _, tile), block in zip(tiles, want):
             assert tile.flags.c_contiguous
             assert tile.shape == block.shape
             assert tile.tobytes() == np.ascontiguousarray(block).tobytes()
         half = 0.5 * float((D**2).sum())
-        assert abs(reducers._pair_sum_squares(tiles, npts) - half) <= 1e-12 * half
+        assert abs(reducers._pair_sum_squares(tiles) - half) <= 1e-12 * half
 
     def test_smacof_keeps_no_square_scratch(self):
         rng = np.random.default_rng(4)
@@ -632,3 +634,15 @@ class TestReduceDispatch:
     def test_unknown_method_lists_valid_ones(self):
         with pytest.raises(ValueError, match="pca, tsvd, mds"):
             reduce_dataset("umap", np.eye(4), 2)
+
+    @pytest.mark.parametrize("name", ["input", "output", "k", "seed"])
+    def test_external_hyperparameter_named_after_a_placeholder_is_refused(self, tmp_path, name):
+        # rendered into the template, {"k": 3} would take the protocol's {k}
+        # away, and {"seed": 5} would reach the reducer while the report
+        # records the reducer seed
+        ran = tmp_path / "ran"
+        method = f"external:touch {ran} {{input}} {{output}} {{k}} {{seed}}"
+        with pytest.raises(ValueError, match=f"external hyperparameter '{name}' is a reducer "
+                                             "protocol placeholder"):
+            reduce_dataset(method, np.zeros((4, 3)), 2, seed=11, hyperparameters={name: 3})
+        assert not ran.exists()
